@@ -37,8 +37,8 @@ from .quadform import (
     Enhancement,
     NotSpin,
     ParityViolation,
+    _root_of_gauss_sum,
     arf,
-    arf_brown,
     gauss_sum,
 )
 from .surface import (
@@ -464,7 +464,7 @@ def cmd_arf_brown(
     statements = _collect(paths)
     for surf, q, values in _attach_enhancements(statements, inline_specs):
         total = gauss_sum(q, cap=cap_dim)
-        root = arf_brown(q, cap=cap_dim)
+        root = _root_of_gauss_sum(total, q.dim)
         arf_value = arf(q) if q.is_even_valued() else None
         record = {
             "record": "arf-brown",
@@ -579,7 +579,7 @@ def cmd_tqft(
     enhanced = []
     if any(isinstance(s, (EnhanceStmt, SurfaceStmt)) for s in statements):
         enhanced = _attach_enhancements(statements, [])
-    surface_values = []
+    total = None
     for stmt in statements:
         if isinstance(stmt, PointStmt):
             value = evaluate_point(theory)
@@ -612,7 +612,7 @@ def cmd_tqft(
             )
     for surf, q, values in enhanced:
         value = partition_function(theory, [(surf.scheme, q)])
-        surface_values.append((surf.scheme, q))
+        total = value if total is None else total * value
         emitter.emit(
             {
                 "record": "partition",
@@ -625,17 +625,16 @@ def cmd_tqft(
                 f" euler factor {_render_gaussian(value.euler_factor)}"
             ],
         )
-    if surface_values:
-        total = partition_function(theory, surface_values)
+    if total is not None:
         emitter.emit(
             {
                 "record": "total",
-                "surfaces": len(surface_values),
+                "surfaces": len(enhanced),
                 "exponent": total.root.exponent,
                 "euler_factor": _enc_gaussian(total.euler_factor),
             },
             [
-                f"total over {len(surface_values)} surface(s):"
+                f"total over {len(enhanced)} surface(s):"
                 f" {_render_root(total.root.exponent)},"
                 f" euler factor {_render_gaussian(total.euler_factor)}"
             ],

@@ -4,15 +4,18 @@ Cl(S, o) is the algebra on generators S with s^2 = o(s) in {+1, -1} and
 st = -ts for distinct s, t.  Elements are stored on the subset basis in a
 canonical sorted order, so equality is coefficient comparison.  The module
 also provides graded tensor products, the grading operator, 2x2 supermatrix
-representations of the (+1, -1) generator pair on C^{1|1}, and the
-2^n-dimensional irreducible supermodule of a signature with n positive and
-n negative generators.
+representations of the (+1, -1) generator pair on C^{1|1}, the signed
+permutations through which that pair acts on (C^{1|1})^{(x) n} (the one
+home of the Koszul sign rule), and the 2^n-dimensional irreducible
+supermodule of a signature with n positive and n negative generators.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
+
+import numpy as np
 
 __all__ = [
     "GaussianRational",
@@ -24,6 +27,7 @@ __all__ = [
     "grading_operator_action",
     "cl11_rep",
     "irreducible_supermodule",
+    "SignedPerm",
     "SignatureMismatch",
     "LabelCollision",
     "UnpairedSignature",
@@ -634,29 +638,72 @@ def cl11_rep() -> tuple[SuperMatrix, SuperMatrix]:
     return plus, minus
 
 
-def _factor_action_entries(
-    n: int, factor: int, negative: bool
-) -> tuple[int, int, list[list[int]]]:
-    """The 2^n matrix of one C^{1|1} factor's generator, with Koszul signs.
+class SignedPerm:
+    """A signed permutation of the subset basis of (C^{1|1})^{(x) n}.
 
-    Basis: tensor products of factor states indexed by bitmasks (bit j set
-    means factor j is in its odd state), sorted by (parity, mask).  An odd
-    operator on factor j flips bit j and picks up (-1)^{number of odd
-    factors before j}; the -1 generator additionally negates the lowering
-    (odd -> even) transitions.
+    Basis vector m (bit j set means factor j is in its odd state) goes to
+    sign[m] * e_{target[m]}.  Both are int64 arrays of length 2^n, so
+    composing, applying and comparing cost O(2^n).
     """
-    masks = sorted(range(1 << n), key=lambda m: (m.bit_count() & 1, m))
-    position = {m: i for i, m in enumerate(masks)}
-    size = 1 << n
-    rows = [[0] * size for _ in range(size)]
-    bit = 1 << factor
-    for m in masks:
-        target = m ^ bit
-        sign = -1 if (m & (bit - 1)).bit_count() & 1 else 1
-        if negative and (m & bit):
-            sign = -sign
-        rows[position[target]][position[m]] = sign
-    return size // 2, size // 2, rows
+
+    __slots__ = ("target", "sign")
+
+    def __init__(self, target: np.ndarray, sign: np.ndarray):
+        self.target = target
+        self.sign = sign
+
+    @classmethod
+    def identity(cls, dim: int) -> SignedPerm:
+        return cls(np.arange(dim, dtype=np.int64), np.ones(dim, dtype=np.int64))
+
+    @classmethod
+    def odd_generator(cls, n: int, v: int, negative: bool) -> SignedPerm:
+        """Factor v's +1 (or -1) generator of the cl11_rep pair.
+
+        It flips bit v and picks up the Koszul sign (-1)^{number of odd
+        factors before v}; the -1 generator additionally negates the
+        lowering (odd -> even) transitions.
+        """
+        masks = np.arange(1 << n, dtype=np.int64)
+        koszul = np.zeros_like(masks)
+        for j in range(v):
+            koszul ^= (masks >> j) & 1
+        sign = 1 - 2 * koszul
+        if negative:
+            sign[(masks >> v) & 1 == 1] *= -1
+        return cls(masks ^ (1 << v), sign)
+
+    def after(self, first: SignedPerm) -> SignedPerm:
+        """self composed after first (apply first, then self)."""
+        return SignedPerm(
+            self.target[first.target], first.sign * self.sign[first.target]
+        )
+
+    def __neg__(self) -> SignedPerm:
+        return SignedPerm(self.target, -self.sign)
+
+    def apply(self, vec: np.ndarray) -> np.ndarray:
+        """The image of an integer vector."""
+        out = np.empty_like(vec)
+        out[self.target] = self.sign * vec
+        return out
+
+    def trace(self) -> int:
+        fixed = self.target == np.arange(len(self.target))
+        return int(self.sign[fixed].sum())
+
+    def to_matrix(self) -> np.ndarray:
+        dim = len(self.target)
+        out = np.zeros((dim, dim), dtype=np.int64)
+        out[self.target, np.arange(dim)] = self.sign
+        return out
+
+    def __eq__(self, other: object) -> bool:
+        return (
+            isinstance(other, SignedPerm)
+            and np.array_equal(self.target, other.target)
+            and np.array_equal(self.sign, other.sign)
+        )
 
 
 def irreducible_supermodule(sig: Signature) -> list[SuperMatrix]:
@@ -665,8 +712,10 @@ def irreducible_supermodule(sig: Signature) -> list[SuperMatrix]:
     Requires n generators of square +1 and n of square -1; the k-th
     positive and k-th negative generators (in signature order) act on the
     k-th C^{1|1} tensor factor through the cl11_rep pair, extended over the
-    graded tensor product by the Koszul sign rule.  Returns one matrix per
-    generator, in signature order; all Clifford relations hold exactly.
+    graded tensor product by the Koszul sign rule.  The basis is the
+    subsets of factors in odd states, sorted by (parity, mask).  Returns
+    one matrix per generator, in signature order; all Clifford relations
+    hold exactly.
     """
     positives = sig.positive_labels()
     negatives = sig.negative_labels()
@@ -677,13 +726,13 @@ def irreducible_supermodule(sig: Signature) -> list[SuperMatrix]:
     n = len(positives)
     if n == 0:
         return []
-    factor = {}
-    for k in range(n):
-        factor[positives[k]] = (k, False)
-        factor[negatives[k]] = (k, True)
+    order = sorted(range(1 << n), key=lambda m: (m.bit_count() & 1, m))
+    half = 1 << (n - 1)
     out = []
     for label in sig.labels:
-        k, negative = factor[label]
-        de, do, rows = _factor_action_entries(n, k, negative)
-        out.append(SuperMatrix(de, do, rows, "odd"))
+        negative = sig.sign(label) == -1
+        k = (negatives if negative else positives).index(label)
+        mat = SignedPerm.odd_generator(n, k, negative).to_matrix()
+        rows = mat[np.ix_(order, order)].tolist()
+        out.append(SuperMatrix(half, half, rows, "odd"))
     return out

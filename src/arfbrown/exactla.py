@@ -2,15 +2,13 @@
 
 Integer matrices only.  Ranks over a prime field never exceed the rank
 over Q, so a family of modular nullities that already sums to the space's
-dimension is certified exact; callers use that certificate and fall back
-to rational elimination when it fails.  Rational computations use
-Fraction throughout.
+dimension is certified exact; the tests use that certificate to check the
+closed-form chain spectra.  Rational computations use Fraction throughout.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 from typing import Sequence
 
 import numpy as np
@@ -20,7 +18,6 @@ __all__ = [
     "modular_nullity",
     "rational_nullity",
     "fraction_rref",
-    "integer_kernel_basis",
     "solve_in_span",
 ]
 
@@ -91,26 +88,6 @@ def rational_nullity(mat: np.ndarray) -> int:
     ncols = len(rows[0]) if rows else 0
     _, pivots = fraction_rref(rows)
     return ncols - len(pivots)
-
-
-def integer_kernel_basis(
-    rows: Sequence[Sequence[Fraction | int]],
-) -> list[list[int]]:
-    """A basis of the rational kernel, scaled to primitive integer vectors."""
-    if len(rows) == 0:
-        return []
-    ncols = len(rows[0])
-    rref, pivots = fraction_rref(rows)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for f in free:
-        vec = [Fraction(0)] * ncols
-        vec[f] = Fraction(1)
-        for r, c in enumerate(pivots):
-            vec[c] = -rref[r][f]
-        scale = lcm(*(v.denominator for v in vec))
-        basis.append([int(v * scale) for v in vec])
-    return basis
 
 
 def solve_in_span(

@@ -2,38 +2,35 @@
 
 The state space on n vertices is spanned by the subsets of the vertex
 set (dimension 2^n, graded by subset size mod 2).  The Majorana
-operators c_v = eps_v + iota_v and d_v = eps_v - iota_v are integer
-matrices built from the exterior and interior products with the
-alternating sign (-1)^{#elements before v}; the Hamiltonian is
+operators c_v and d_v are the +1 and -1 odd generators of the v-th
+C^{1|1} factor, signed permutations of the subsets
+(`clifford.SignedPerm.odd_generator`).  The Hamiltonian is
 
-    H = 1/2 sum over edges of (-1)^{t(e)} c_head d_tail
+    H = 1/2 sum over edges of T_e,    T_e = (-1)^{t(e)} c_head d_tail
 
-with boundary(e) = head - tail in the chosen orientation.  2H has integer
-entries and integer eigenvalues, so the spectrum is computed by a kernel
-scan over the integer candidates lambda in [-E, E] (E = number of edge
-terms), certified exactly: modular nullities over a large prime are upper
-bounds for rational nullities, and a family of them summing to the space's
-dimension must be exact.  Ground vectors are integer vectors obtained by
-applying the polynomial that kills every other eigenspace, then verified
-against (2H - lambda I) by exact arithmetic.
+with boundary(e) = head - tail in the chosen orientation.  The T_e touch
+disjoint Majoranas, so they commute, and each squares to 1.  A product
+of T_e over a set of edges flips the vertices of odd degree in that set,
+so it fixes no basis vector unless the set is empty or every edge of a
+circle.  When that one diagonal product is traceless too, every joint
+eigenspace of the E edge terms has dimension 2^{n-E}: 2H has eigenvalues
+-E + 2j with multiplicity C(E, j) 2^{n-E}, and the ground space is the
+joint -1 eigenspace, the image of prod (1 - T_e).  Each of these facts is
+checked exactly on every call, in O(E^2 2^n) integer operations.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from math import comb
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from .clifford import SignedPerm
 from .errors import CapExceeded
-from .exactla import (
-    MOD_PRIMES,
-    fraction_rref,
-    modular_nullity,
-    rational_nullity,
-    solve_in_span,
-)
+from .exactla import fraction_rref, solve_in_span
 from .pin1 import Circle, HasBoundary, Interval
 
 __all__ = [
@@ -43,7 +40,6 @@ __all__ = [
     "IntervalReport",
     "majorana_operators",
     "doubled_hamiltonian",
-    "hamiltonian",
     "ground_states",
     "epsilon_operator",
     "reference_module",
@@ -132,58 +128,51 @@ class ChainSetup:
         return f"ChainSetup({kind} {list(self.edge_bits)}, orientation {sign})"
 
 
-def _vertex_sign(mask: int, v: int) -> int:
-    """(-1)^{#occupied vertices before v}, the alternating-basis sign."""
-    return -1 if (mask & ((1 << v) - 1)).bit_count() & 1 else 1
+def _majoranas(
+    n: int,
+) -> tuple[dict[int, SignedPerm], dict[int, SignedPerm]]:
+    c = {v: SignedPerm.odd_generator(n, v, negative=False) for v in range(n)}
+    d = {v: SignedPerm.odd_generator(n, v, negative=True) for v in range(n)}
+    return c, d
+
+
+def _edge_terms(
+    setup: ChainSetup,
+    c: Mapping[int, SignedPerm],
+    d: Mapping[int, SignedPerm],
+) -> list[SignedPerm]:
+    """T_e = (-1)^{t(e)} c_head d_tail for every edge, in edge order."""
+    terms = []
+    for tail, head, bit in setup.edges:
+        term = c[head].after(d[tail])
+        terms.append(-term if bit else term)
+    return terms
+
+
+def _dense_sum(terms: Iterable[SignedPerm], dim: int) -> np.ndarray:
+    out = np.zeros((dim, dim), dtype=np.int64)
+    cols = np.arange(dim)
+    for term in terms:
+        out[term.target, cols] += term.sign
+    return out
 
 
 def majorana_operators(
     setup: ChainSetup,
 ) -> dict[int, tuple[np.ndarray, np.ndarray]]:
     """c_v and d_v for every vertex, as integer matrices on the subsets."""
-    n = setup.vertex_count
-    dim = 1 << n
-    ops: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-    for v in range(n):
-        c = np.zeros((dim, dim), dtype=np.int64)
-        d = np.zeros((dim, dim), dtype=np.int64)
-        bit = 1 << v
-        for m in range(dim):
-            s = _vertex_sign(m, v)
-            if m & bit:
-                c[m ^ bit, m] = s
-                d[m ^ bit, m] = -s
-            else:
-                c[m | bit, m] = s
-                d[m | bit, m] = s
-        ops[v] = (c, d)
-    return ops
+    c, d = _majoranas(setup.vertex_count)
+    return {v: (c[v].to_matrix(), d[v].to_matrix()) for v in c}
 
 
 def doubled_hamiltonian(setup: ChainSetup) -> np.ndarray:
-    """2H as an exact integer matrix (entries are sums of +-1 terms)."""
+    """2H as an exact integer matrix, the sum of the edge terms."""
     n = setup.vertex_count
-    dim = 1 << n
-    h = np.zeros((dim, dim), dtype=np.int64)
-    for tail, head, bit in setup.edges:
-        term_sign = -1 if bit else 1
-        tb, hb = 1 << tail, 1 << head
-        for m in range(dim):
-            s1 = _vertex_sign(m, tail) * (-1 if m & tb else 1)
-            m1 = m ^ tb
-            s2 = _vertex_sign(m1, head)
-            h[m1 ^ hb, m] += term_sign * s1 * s2
-    return h
+    return _dense_sum(_edge_terms(setup, *_majoranas(n)), 1 << n)
 
 
-def hamiltonian(setup: ChainSetup) -> np.ndarray:
-    """H itself: rational matrix with entries in (1/2) Z."""
-    h2 = doubled_hamiltonian(setup)
-    out = np.empty(h2.shape, dtype=object)
-    for i in range(h2.shape[0]):
-        for j in range(h2.shape[1]):
-            out[i, j] = Fraction(int(h2[i, j]), 2)
-    return out
+def _support_parities(vec: np.ndarray) -> set[int]:
+    return {m.bit_count() & 1 for m in np.flatnonzero(vec).tolist()}
 
 
 @dataclass(frozen=True)
@@ -194,146 +183,69 @@ class GroundStateReport:
     spectrum: tuple[tuple[Fraction, int], ...]
 
 
-def _parity_blocks(
-    h2: np.ndarray, n: int
-) -> tuple[list[int], np.ndarray, np.ndarray]:
-    """Reorder by subset parity and split into the two diagonal blocks."""
-    dim = 1 << n
-    order = sorted(range(dim), key=lambda m: (m.bit_count() & 1, m))
-    perm = np.array(order)
-    re = h2[np.ix_(perm, perm)]
-    half = dim // 2
-    if np.any(re[:half, half:]) or np.any(re[half:, :half]):
-        raise ArithmeticError("Hamiltonian does not preserve the grading")
-    return order, re[:half, :half], re[half:, half:]
-
-
-def _certified_nullities(
-    block: np.ndarray, candidates: Sequence[int]
-) -> dict[int, int]:
-    """Exact nullities of (block - lambda I) for each candidate lambda.
-
-    A modular nullity is always >= the rational one, and the rational ones
-    sum to the block size because 2H is symmetric with all eigenvalues in
-    the candidate list; so a modular family with the right total is exact.
-    """
-    size = block.shape[0]
-    if size == 0:
-        return {lam: 0 for lam in candidates}
-    ident = np.eye(size, dtype=np.int64)
-    for p in MOD_PRIMES:
-        nulls = {
-            lam: modular_nullity(block - lam * ident, p) for lam in candidates
-        }
-        if sum(nulls.values()) == size:
-            return nulls
-    nulls = {
-        lam: rational_nullity(block - lam * ident) for lam in candidates
-    }
-    if sum(nulls.values()) != size:
-        raise ArithmeticError("eigenvalue scan does not exhaust the space")
-    return nulls
-
-
-def _sparse_rows(h2: np.ndarray) -> list[list[tuple[int, int]]]:
-    return [
-        [(int(j), int(h2[i, j])) for j in np.nonzero(h2[i])[0]]
-        for i in range(h2.shape[0])
-    ]
-
-
-def _shifted_apply(
-    rows: list[list[tuple[int, int]]], vec: list[int], lam: int
-) -> list[int]:
-    """(2H - lam I) @ vec with unbounded integers."""
-    out = [-lam * x for x in vec]
-    for i, row in enumerate(rows):
-        acc = 0
-        for j, v in row:
-            if vec[j]:
-                acc += v * vec[j]
-        out[i] += acc
-    return out
-
-
 def _ground_data(
     setup: ChainSetup, cap: int
-) -> tuple[GroundStateReport, list[list[int]]]:
+) -> tuple[GroundStateReport, list[np.ndarray]]:
     """The spectral report plus exact integer ground vectors.
 
-    The ground space is the image of prod over other eigenvalues lambda' of
-    (2H - lambda' I); applying that polynomial to standard basis vectors
-    until ground_dimension independent images appear yields exact integer
-    ground vectors, each re-verified as a kernel vector of (2H - lambda I).
+    Every T_e flips two vertices (or none, on a one-vertex circle), so it
+    preserves parity, and the flips connect all subsets of one parity.
+    prod (1 - T_e) therefore maps the empty subset and the subset {0} onto
+    vectors spanning the even and the odd part of the ground space; a
+    part may be zero.
     """
     n = setup.vertex_count
     if n > cap:
         raise CapExceeded(f"{n} vertices exceed the configured cap of {cap}")
-    edge_terms = len(setup.edges)
-    h2 = doubled_hamiltonian(setup)
     dim = 1 << n
-    candidates = list(range(-edge_terms, edge_terms + 1, 2))
-    _, even_block, odd_block = _parity_blocks(h2, n)
-    even_nulls = _certified_nullities(even_block, candidates)
-    odd_nulls = _certified_nullities(odd_block, candidates)
-    mult = {lam: even_nulls[lam] + odd_nulls[lam] for lam in candidates}
-    present = [lam for lam in candidates if mult[lam]]
-    lam_min = present[0]
-    ground_dim = mult[lam_min]
+    terms = _edge_terms(setup, *_majoranas(n))
+    edge_count = len(terms)
+    ident = SignedPerm.identity(dim)
+    for i, term in enumerate(terms):
+        if term.after(term) != ident:
+            raise ArithmeticError("an edge term does not square to 1")
+        if any(term.after(u) != u.after(term) for u in terms[i + 1 :]):
+            raise ArithmeticError("two edge terms do not commute")
+    if setup.is_circle:
+        product = ident
+        for term in terms:
+            product = term.after(product)
+        if product.trace() != 0:
+            raise ArithmeticError("the product of all edge terms has a trace")
 
-    shifts = [lam for lam in present if lam != lam_min]
-    rows = _sparse_rows(h2)
-    vectors: list[list[int]] = []
-    pivot_rows: list[tuple[int, list[Fraction]]] = []
-    for probe in range(dim):
-        if len(vectors) == ground_dim:
-            break
-        vec = [0] * dim
+    vectors: list[np.ndarray] = []
+    found = {0: 0, 1: 0}
+    for probe in (0, 1):
+        vec = np.zeros(dim, dtype=np.int64)
         vec[probe] = 1
-        for lam in shifts:
-            vec = _shifted_apply(rows, vec, lam)
-        if not any(vec):
+        for term in terms:
+            vec = vec - term.apply(vec)
+        if not vec.any():
             continue
-        residual = _shifted_apply(rows, vec, lam_min)
-        if any(residual):
-            raise ArithmeticError("polynomial image escaped the ground space")
-        reduced = [Fraction(x) for x in vec]
-        for idx, row in pivot_rows:
-            if reduced[idx]:
-                f = reduced[idx]
-                reduced = [a - f * b for a, b in zip(reduced, row)]
-        lead = next((i for i, x in enumerate(reduced) if x), None)
-        if lead is None:
-            continue
-        inv = reduced[lead]
-        pivot_rows.append((lead, [x / inv for x in reduced]))
+        if any(np.any(term.apply(vec) != -vec) for term in terms):
+            raise ArithmeticError("a ground vector is not in the -1 eigenspace")
+        if _support_parities(vec) != {probe}:
+            raise ArithmeticError("ground vector is not grading-homogeneous")
+        found[probe] += 1
         vectors.append(vec)
+    ground_dim = 1 << (n - edge_count)
     if len(vectors) != ground_dim:
         raise ArithmeticError(
-            "found fewer independent ground vectors than the certified nullity"
+            f"found {len(vectors)} ground vectors, expected {ground_dim}"
         )
 
-    even_found = odd_found = 0
-    for vec in vectors:
-        parities = {m.bit_count() & 1 for m, x in enumerate(vec) if x}
-        if len(parities) != 1:
-            raise ArithmeticError("ground vector is not grading-homogeneous")
-        if parities.pop() == 0:
-            even_found += 1
-        else:
-            odd_found += 1
-    if (even_found, odd_found) != (even_nulls[lam_min], odd_nulls[lam_min]):
-        raise ArithmeticError("ground parity split disagrees with the scan")
-
-    if even_found and odd_found:
+    if found[0] and found[1]:
         parity = "mixed"
-    elif even_found:
+    elif found[0]:
         parity = "even"
     else:
         parity = "odd"
-    spectrum = tuple((Fraction(lam, 2), mult[lam]) for lam in present)
+    spectrum = tuple(
+        (Fraction(2 * j - edge_count, 2), comb(edge_count, j) * ground_dim)
+        for j in range(edge_count + 1)
+    )
     report = GroundStateReport(
-        min_eigenvalue=Fraction(lam_min, 2),
+        min_eigenvalue=Fraction(-edge_count, 2),
         ground_dimension=ground_dim,
         ground_parity=parity,
         spectrum=spectrum,
@@ -349,49 +261,6 @@ def ground_states(
     return report
 
 
-class _SignedPerm:
-    """A signed permutation of the subset basis, composed in O(dim)."""
-
-    __slots__ = ("target", "sign")
-
-    def __init__(self, target: list[int], sign: list[int]):
-        self.target = target
-        self.sign = sign
-
-    @classmethod
-    def identity(cls, dim: int) -> _SignedPerm:
-        return cls(list(range(dim)), [1] * dim)
-
-    @classmethod
-    def vertex_op(cls, n: int, v: int, negative: bool) -> _SignedPerm:
-        dim = 1 << n
-        bit = 1 << v
-        target = [m ^ bit for m in range(dim)]
-        sign = []
-        for m in range(dim):
-            s = _vertex_sign(m, v)
-            if negative and (m & bit):
-                s = -s
-            sign.append(s)
-        return cls(target, sign)
-
-    def after(self, first: _SignedPerm) -> _SignedPerm:
-        """self composed after first (apply first, then self)."""
-        target = [self.target[t] for t in first.target]
-        sign = [
-            first.sign[m] * self.sign[first.target[m]]
-            for m in range(len(target))
-        ]
-        return _SignedPerm(target, sign)
-
-    def to_matrix(self) -> np.ndarray:
-        dim = len(self.target)
-        out = np.zeros((dim, dim), dtype=np.int64)
-        for m in range(dim):
-            out[self.target[m], m] = self.sign[m]
-        return out
-
-
 def epsilon_operator(
     setup: ChainSetup, vertex_order: Sequence[int] | None = None
 ) -> np.ndarray:
@@ -404,14 +273,12 @@ def epsilon_operator(
     if not setup.is_circle:
         raise HasBoundary("the epsilon operator is defined on circles")
     n = setup.vertex_count
-    dim = 1 << n
     if vertex_order is None:
         vertex_order = range(n)
-    acc = _SignedPerm.identity(dim)
+    c, d = _majoranas(n)
+    acc = SignedPerm.identity(1 << n)
     for v in vertex_order:
-        cv = _SignedPerm.vertex_op(n, v, negative=False)
-        dv = _SignedPerm.vertex_op(n, v, negative=True)
-        acc = dv.after(cv).after(acc)
+        acc = d[v].after(c[v]).after(acc)
     return acc.to_matrix()
 
 
@@ -432,18 +299,6 @@ class ReferenceModule:
     doubled_hamiltonian: np.ndarray
 
 
-def _factor_matrix(n_factors: int, f: int, negative: bool) -> np.ndarray:
-    dim = 1 << n_factors
-    out = np.zeros((dim, dim), dtype=np.int64)
-    bit = 1 << f
-    for m in range(dim):
-        sign = -1 if (m & (bit - 1)).bit_count() & 1 else 1
-        if negative and (m & bit):
-            sign = -sign
-        out[m ^ bit, m] = sign
-    return out
-
-
 def reference_module(setup: ChainSetup) -> ReferenceModule:
     """The module A for a circle, with all operators as integer matrices.
 
@@ -455,20 +310,20 @@ def reference_module(setup: ChainSetup) -> ReferenceModule:
         raise HasBoundary("the reference module is built over a circle")
     n = setup.vertex_count
     dim = 1 << n
-    c: dict[int, np.ndarray] = {}
-    d: dict[int, np.ndarray] = {}
+    c: dict[int, SignedPerm] = {}
+    d: dict[int, SignedPerm] = {}
     for idx, (tail, head, _bit) in enumerate(setup.edges):
-        c[head] = _factor_matrix(n, idx, negative=False)
-        d[tail] = _factor_matrix(n, idx, negative=True)
-    h2 = np.zeros((dim, dim), dtype=np.int64)
-    for _, (tail, head, bit) in enumerate(setup.edges):
-        term = c[head] @ d[tail]
-        h2 += -term if bit else term
-    eps = np.eye(dim, dtype=np.int64)
+        c[head] = SignedPerm.odd_generator(n, idx, negative=False)
+        d[tail] = SignedPerm.odd_generator(n, idx, negative=True)
+    eps = SignedPerm.identity(dim)
     for v in range(n):
-        eps = eps @ (d[v] @ c[v])
+        eps = eps.after(d[v].after(c[v]))
     return ReferenceModule(
-        vertex_count=n, c=c, d=d, epsilon=eps, doubled_hamiltonian=h2
+        vertex_count=n,
+        c={v: op.to_matrix() for v, op in c.items()},
+        d={v: op.to_matrix() for v, op in d.items()},
+        epsilon=eps.to_matrix(),
+        doubled_hamiltonian=_dense_sum(_edge_terms(setup, c, d), dim),
     )
 
 
@@ -485,53 +340,27 @@ class IntervalReport:
     passed: bool
 
 
-def _restrict(
-    mat: np.ndarray, vectors: list[list[int]]
-) -> list[list[Fraction]]:
-    """The matrix of mat on span(vectors), columns in the given basis."""
-    k = len(vectors)
+def _restrict(op: SignedPerm, vectors: list[np.ndarray]) -> np.ndarray:
+    """The matrix of op on span(vectors), columns in the given basis, as an
+    object array of Fractions."""
+    basis = [vec.tolist() for vec in vectors]
     cols = []
     for vec in vectors:
-        image = [
-            int(sum(int(mat[i, j]) * vec[j] for j in range(len(vec))))
-            for i in range(mat.shape[0])
-        ]
-        coeffs = solve_in_span(vectors, image)
+        coeffs = solve_in_span(basis, op.apply(vec).tolist())
         if coeffs is None:
             raise ArithmeticError("operator does not preserve the ground space")
         cols.append(coeffs)
-    return [[cols[j][i] for j in range(k)] for i in range(k)]
+    return np.array(cols, dtype=object).T
 
 
-def _small_mul(a: list[list[Fraction]], b: list[list[Fraction]]) -> list[list[Fraction]]:
-    k = len(a)
-    return [
-        [sum((a[i][l] * b[l][j] for l in range(k)), Fraction(0)) for j in range(k)]
-        for i in range(k)
-    ]
-
-
-def _small_eq_scalar(mat: list[list[Fraction]], scalar: int) -> bool:
-    k = len(mat)
-    return all(
-        mat[i][j] == (scalar if i == j else 0) for i in range(k) for j in range(k)
-    )
-
-
-def _commutant_dimension(gens: list[list[list[Fraction]]], k: int) -> int:
-    """dim of {M : MG = GM for all G}; the system is rational, so the
-    dimension over any extension field equals the rational nullity."""
-    rows = []
-    for g in gens:
-        for i in range(k):
-            for j in range(k):
-                row = [Fraction(0)] * (k * k)
-                for a in range(k):
-                    row[i * k + a] += g[a][j]
-                    row[a * k + j] -= g[i][a]
-                rows.append(row)
-    _, pivots = fraction_rref(rows)
-    return k * k - len(pivots)
+def _commutant_dimension(gens: list[np.ndarray]) -> int:
+    """dim of {M : MG = GM for all G}.  With row-major vec,
+    vec(GM - MG) = (G (x) I - I (x) G^T) vec(M); the system is rational, so
+    the dimension over any extension field equals the rational nullity."""
+    ident = np.eye(len(gens[0]), dtype=object)
+    rows = np.vstack([np.kron(g, ident) - np.kron(ident, g.T) for g in gens])
+    _, pivots = fraction_rref(rows.tolist())
+    return rows.shape[1] - len(pivots)
 
 
 def interval_bimodule_check(
@@ -541,9 +370,9 @@ def interval_bimodule_check(
     irreducibility of the induced module on the 2-dimensional ground space.
 
     The boundary generators are c at the vertex that heads no edge and d at
-    the vertex that tails none; they commute with H exactly, so they act on
-    the ground space, and that action should square to +1 and -1, anticommute,
-    and generate a module with scalar commutant.
+    the vertex that tails none; they commute with every edge term, hence
+    with H, so they act on the ground space, and that action should square
+    to +1 and -1, anticommute, and generate a module with scalar commutant.
     """
     if setup.is_circle:
         raise ValueError("the bimodule check applies to intervals")
@@ -553,33 +382,23 @@ def interval_bimodule_check(
     tails = {tail for tail, _, _ in setup.edges}
     (c_vertex,) = set(range(n)) - heads
     (d_vertex,) = set(range(n)) - tails
-    ops = majorana_operators(setup)
-    c_mat = ops[c_vertex][0]
-    d_mat = ops[d_vertex][1]
-    h2 = doubled_hamiltonian(setup)
-    commutes = bool(
-        np.array_equal(c_mat @ h2, h2 @ c_mat)
-        and np.array_equal(d_mat @ h2, h2 @ d_mat)
+    c, d = _majoranas(n)
+    c_op, d_op = c[c_vertex], d[d_vertex]
+    terms = _edge_terms(setup, c, d)
+    commutes = all(
+        op.after(term) == term.after(op) for op in (c_op, d_op) for term in terms
     )
 
-    c_r = _restrict(c_mat, vectors)
-    d_r = _restrict(d_mat, vectors)
-    k = len(vectors)
-    plus_sq = _small_eq_scalar(_small_mul(c_r, c_r), 1)
-    minus_sq = _small_eq_scalar(_small_mul(d_r, d_r), -1)
-    cd = _small_mul(c_r, d_r)
-    dc = _small_mul(d_r, c_r)
-    anti = _small_eq_scalar(
-        [[cd[i][j] + dc[i][j] for j in range(k)] for i in range(k)], 0
-    )
-    commutant_dim = _commutant_dimension([c_r, d_r], k)
-    irreducible = k == 2 and commutant_dim == 1
+    c_r = _restrict(c_op, vectors)
+    d_r = _restrict(d_op, vectors)
+    ident = np.eye(len(vectors), dtype=object)
+    plus_sq = np.array_equal(c_r @ c_r, ident)
+    minus_sq = np.array_equal(d_r @ d_r, -ident)
+    anti = np.array_equal(c_r @ d_r, -(d_r @ c_r))
+    commutant_dim = _commutant_dimension([c_r, d_r])
+    irreducible = len(vectors) == 2 and commutant_dim == 1
 
-    even_found = sum(
-        1
-        for vec in vectors
-        if all(m.bit_count() % 2 == 0 for m, x in enumerate(vec) if x)
-    )
+    even_found = sum(1 for vec in vectors if _support_parities(vec) == {0})
     passed = bool(
         report.ground_dimension == 2
         and commutes

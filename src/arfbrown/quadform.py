@@ -351,13 +351,17 @@ def gauss_sum(q: Enhancement, cap: int = 20) -> Cyc8:
     return total
 
 
-def arf_brown(q: Enhancement, cap: int = 20) -> RootOfUnity8:
-    """The Arf-Brown invariant: the unique k with S = zeta8^k sqrt(2)^dim."""
-    s = gauss_sum(q, cap=cap)
-    target = Cyc8.sqrt2() ** q.dim
+def _root_of_gauss_sum(s: Cyc8, dim: int) -> RootOfUnity8:
+    """The unique k with s = zeta8^k sqrt(2)^dim."""
+    target = Cyc8.sqrt2() ** dim
     for k in range(8):
         if Cyc8.zeta(k) * target == s:
             return RootOfUnity8(k)
     raise NotRootOfUnity(
-        f"Gauss sum {s!r} is not zeta8^k * sqrt(2)^{q.dim} for any k"
+        f"Gauss sum {s!r} is not zeta8^k * sqrt(2)^{dim} for any k"
     )
+
+
+def arf_brown(q: Enhancement, cap: int = 20) -> RootOfUnity8:
+    """The Arf-Brown invariant: the unique k with S = zeta8^k sqrt(2)^dim."""
+    return _root_of_gauss_sum(gauss_sum(q, cap=cap), q.dim)

@@ -111,6 +111,12 @@ class PartitionValue:
     root: RootOfUnity8
     euler_factor: GaussianRational
 
+    def __mul__(self, other: PartitionValue) -> PartitionValue:
+        """The value on the disjoint union: roots and Euler factors multiply."""
+        return PartitionValue(
+            self.root * other.root, self.euler_factor * other.euler_factor
+        )
+
 
 def evaluate_point(t: TheoryClass) -> SuperalgebraValue:
     """The point's superalgebra: ab_power generators, all squaring to +1."""

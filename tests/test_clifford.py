@@ -13,6 +13,7 @@ from arfbrown.clifford import (
     LabelCollision,
     Signature,
     SignatureMismatch,
+    SignedPerm,
     SuperMatrix,
     UnpairedSignature,
     cl11_rep,
@@ -313,6 +314,19 @@ def test_supermodule_is_ungraded_irreducible(n):
         rows.append(block)
     system = np.vstack(rows)
     assert rational_nullity(system) == 1
+
+
+def test_signed_perm_agrees_with_its_matrix():
+    rng = random.Random(131)
+    gens = [SignedPerm.odd_generator(4, v, neg) for v in range(4) for neg in (0, 1)]
+    for _ in range(30):
+        a, b = rng.choice(gens), rng.choice(gens)
+        ab = a.after(b)
+        vec = np.array([rng.randint(-3, 3) for _ in range(16)], dtype=np.int64)
+        assert np.array_equal(ab.to_matrix(), a.to_matrix() @ b.to_matrix())
+        assert np.array_equal((-a).apply(vec), -a.to_matrix() @ vec)
+        assert ab.trace() == np.trace(ab.to_matrix())
+        assert (ab == b.after(a)) == (a is b)
 
 
 def test_supermodule_rejects_unpaired():

@@ -9,7 +9,6 @@ import pytest
 from arfbrown.exactla import (
     MOD_PRIMES,
     fraction_rref,
-    integer_kernel_basis,
     modular_nullity,
     rational_nullity,
     solve_in_span,
@@ -50,18 +49,6 @@ def test_rref_pivots_are_unit_columns():
         for k, j in enumerate(pivots):
             assert red[k][j] == 1
             assert all(red[r][j] == 0 for r in range(len(red)) if r != k)
-
-
-def test_integer_kernel_basis_is_a_kernel_basis():
-    rng = random.Random(59)
-    for _ in range(30):
-        m = _random_int_matrix(rng, rng.randint(1, 5), rng.randint(2, 6))
-        basis = integer_kernel_basis(m)
-        assert len(basis) == rational_nullity(m)
-        for v in basis:
-            arr = np.array(v, dtype=object)
-            assert not np.any(m @ arr)
-            assert any(v)  # integer vectors, not rescaled to zero
 
 
 def test_solve_in_span_roundtrip():

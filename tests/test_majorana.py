@@ -8,18 +8,136 @@ from math import comb
 import numpy as np
 import pytest
 
+from arfbrown import majorana
+from arfbrown.clifford import Signature, SignedPerm, irreducible_supermodule
 from arfbrown.errors import CapExceeded
+from arfbrown.exactla import MOD_PRIMES, modular_nullity
 from arfbrown.majorana import (
     ChainSetup,
     doubled_hamiltonian,
     epsilon_operator,
     ground_states,
-    hamiltonian,
     interval_bimodule_check,
     majorana_operators,
     reference_module,
 )
 from arfbrown.pin1 import HasBoundary
+
+
+def _all_setups(max_vertices):
+    """Every circle and interval with at most max_vertices vertices, both
+    orientations."""
+    for n in range(1, max_vertices + 1):
+        for bits in product((0, 1), repeat=n):
+            for orientation in (1, -1):
+                yield ChainSetup.circle(bits, orientation)
+        if n >= 2:
+            for bits in product((0, 1), repeat=n - 1):
+                for orientation in (1, -1):
+                    yield ChainSetup.interval(bits, orientation)
+
+
+def _parity_order(n):
+    return sorted(range(1 << n), key=lambda m: (m.bit_count() & 1, m))
+
+
+def _scanned_spectrum(setup):
+    """Spectrum and ground parity of the dense 2H by a certified kernel scan.
+
+    The parity blocks of 2H are scanned over every integer candidate lambda
+    in [-E, E] of E's parity.  A modular nullity is always >= the rational
+    one, and the rational ones sum to the block size because 2H is
+    symmetric with all eigenvalues in the candidate list; so a modular
+    family with the right total is exact, and any other is rejected.
+    """
+    n = setup.vertex_count
+    edge_count = len(setup.edges)
+    candidates = range(-edge_count, edge_count + 1, 2)
+    order = _parity_order(n)
+    h2 = doubled_hamiltonian(setup)[np.ix_(order, order)]
+    half = 1 << (n - 1)
+    assert not h2[:half, half:].any() and not h2[half:, :half].any()
+    ident = np.eye(half, dtype=np.int64)
+    nulls = []
+    for block in (h2[:half, :half], h2[half:, half:]):
+        for p in MOD_PRIMES:
+            found = {
+                lam: modular_nullity(block - lam * ident, p) for lam in candidates
+            }
+            if sum(found.values()) == half:
+                break
+        else:
+            pytest.fail(f"no prime certifies the kernel scan of {setup}")
+        nulls.append(found)
+    even, odd = nulls
+    spectrum = tuple(
+        (Fraction(lam, 2), even[lam] + odd[lam])
+        for lam in candidates
+        if even[lam] + odd[lam]
+    )
+    lam_min = 2 * spectrum[0][0]
+    ground = (even[lam_min] > 0, odd[lam_min] > 0)
+    parity = {(True, True): "mixed", (True, False): "even", (False, True): "odd"}
+    return spectrum, parity[ground]
+
+
+def test_closed_form_matches_certified_scan():
+    # every setup with n <= 6 in both orientations, and a sample at n = 7, 8
+    setups = list(_all_setups(6))
+    assert len(setups) == 376
+    rng = random.Random(101)
+    for n in (7, 7, 7, 8, 8, 8):
+        kind = rng.choice(["circle", "interval"])
+        bits = [rng.randint(0, 1) for _ in range(n if kind == "circle" else n - 1)]
+        setups.append(getattr(ChainSetup, kind)(bits, rng.choice([1, -1])))
+    for setup in setups:
+        rep = ground_states(setup)
+        assert (rep.spectrum, rep.ground_parity) == _scanned_spectrum(setup), setup
+
+
+def test_doubled_hamiltonian_is_the_dense_edge_sum():
+    for setup in _all_setups(6):
+        ops = majorana_operators(setup)
+        want = sum(
+            (-1) ** bit * (ops[head][0] @ ops[tail][1])
+            for tail, head, bit in setup.edges
+        )
+        assert np.array_equal(doubled_hamiltonian(setup), want), setup
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_supermodule_is_the_reordered_majorana_operators(n):
+    ops = majorana_operators(ChainSetup.circle((0,) * n))
+    order = _parity_order(n)
+    want = [ops[v][0] for v in range(n)] + [ops[v][1] for v in range(n)]
+    got = irreducible_supermodule(Signature.cl(n, n))
+    assert len(got) == len(want)
+    for module_mat, mat in zip(got, want):
+        rows = [list(row) for row in module_mat.rows()]
+        assert rows == mat[np.ix_(order, order)].tolist()
+
+
+_edge_terms = majorana._edge_terms
+
+
+def _flip_one_sign(setup, c, d):
+    terms = _edge_terms(setup, c, d)
+    terms[0].sign[0] *= -1
+    return terms
+
+
+@pytest.mark.parametrize(
+    "corrupt, n, message",
+    [
+        (_flip_one_sign, 3, "square"),
+        (lambda setup, c, d: _edge_terms(setup, c, d) + [c[0]], 3, "commute"),
+        (lambda setup, c, d: [SignedPerm.identity(2)], 1, "trace"),
+    ],
+)
+def test_runtime_certificates_reject_broken_terms(monkeypatch, corrupt, n, message):
+    monkeypatch.setattr(majorana, "_edge_terms", corrupt)
+    with pytest.raises(ArithmeticError, match=message):
+        ground_states(ChainSetup.circle((0,) * n))
 
 
 def test_single_vertex_frozen_matrices():
@@ -66,8 +184,6 @@ def test_doubled_hamiltonian_is_symmetric_integer():
         h2 = doubled_hamiltonian(setup)
         assert h2.dtype == np.int64
         assert np.array_equal(h2, h2.T)
-        h = hamiltonian(setup)
-        assert np.all(2 * h == h2)
 
 
 def test_spectrum_multiplicities_binomial_oracle():

@@ -80,6 +80,7 @@ def test_partition_function_is_multiplicative():
     v2 = partition_function(t, [p2])
     assert both.root == v1.root * v2.root
     assert both.euler_factor == v1.euler_factor * v2.euler_factor
+    assert both == v1 * v2
 
 
 def test_partition_exponent_scales_with_ab_power():
