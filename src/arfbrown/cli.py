@@ -37,9 +37,9 @@ from .quadform import (
     Enhancement,
     NotSpin,
     ParityViolation,
-    _root_of_gauss_sum,
+    _gauss_sum_of_root,
     arf,
-    gauss_sum,
+    arf_brown,
 )
 from .surface import (
     GluingScheme,
@@ -463,8 +463,8 @@ def cmd_arf_brown(
 ) -> int:
     statements = _collect(paths)
     for surf, q, values in _attach_enhancements(statements, inline_specs):
-        total = gauss_sum(q, cap=cap_dim)
-        root = _root_of_gauss_sum(total, q.dim)
+        root = arf_brown(q, cap=cap_dim)
+        total = _gauss_sum_of_root(root, q.dim)
         arf_value = arf(q) if q.is_even_valued() else None
         record = {
             "record": "arf-brown",
@@ -611,7 +611,7 @@ def cmd_tqft(
                 [f"circle {stmt.name}: {cls.value}, {line.parity} line"],
             )
     for surf, q, values in enhanced:
-        value = partition_function(theory, [(surf.scheme, q)])
+        value = partition_function(theory, [(surf.scheme, q)], cap=cap_dim)
         total = value if total is None else total * value
         emitter.emit(
             {
@@ -691,7 +691,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=_positive_int,
         default=20,
         metavar="D",
-        help="largest form dimension for Gauss sums (default 20)",
+        help="largest form dimension for Arf-Brown invariants (default 20)",
     )
     parser = argparse.ArgumentParser(
         prog="arfbrown",

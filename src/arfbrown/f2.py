@@ -273,8 +273,17 @@ def symplectic_basis(gram: F2Matrix) -> list[tuple[F2Vector, F2Vector]]:
     if rank(gram) < n:
         raise Degenerate("gram matrix is singular")
 
+    rows = [row.mask for row in gram.rows]
+
     def pairing(u: F2Vector, v: F2Vector) -> int:
-        return u.dot(gram.mv(v))
+        # u^T G is the sum of the rows on the support of u, so the cost
+        # follows the weight of u, not the dimension
+        image, support = 0, u.mask
+        while support:
+            low = support & -support
+            image ^= rows[low.bit_length() - 1]
+            support ^= low
+        return (image & v.mask).bit_count() & 1
 
     remaining = [F2Vector.basis_vector(n, i) for i in range(n)]
     pairs: list[tuple[F2Vector, F2Vector]] = []

@@ -143,8 +143,12 @@ def surface_form(scheme: GluingScheme):
 def partition_function(
     t: TheoryClass,
     surfaces: Iterable[tuple[GluingScheme, Enhancement]],
+    cap: int = 20,
 ) -> PartitionValue:
-    """The product value over a disjoint union of enhanced closed surfaces."""
+    """The product value over a disjoint union of enhanced closed surfaces.
+
+    cap bounds each surface's form dimension, as in ``arf_brown``.
+    """
     total_exponent = 0
     total_chi = 0
     for scheme, q in surfaces:
@@ -154,7 +158,7 @@ def partition_function(
                 "enhancement is defined on a different intersection form"
                 f" than the scheme {scheme.text()!r} carries"
             )
-        total_exponent += arf_brown(q).exponent
+        total_exponent += arf_brown(q, cap=cap).exponent
         total_chi += analyze(scheme).euler_char
     root = RootOfUnity8(t.ab_power * total_exponent)
     return PartitionValue(root=root, euler_factor=t.euler_weight**total_chi)

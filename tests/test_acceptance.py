@@ -17,7 +17,7 @@ from arfbrown.clifford import (
     SuperMatrix,
     irreducible_supermodule,
 )
-from arfbrown.f2 import F2Matrix, rank
+from arfbrown.f2 import rank
 from arfbrown.majorana import (
     ChainSetup,
     epsilon_operator,
@@ -36,7 +36,6 @@ from arfbrown.quadform import (
 )
 from arfbrown.surface import (
     GluingScheme,
-    IntersectionForm,
     analyze,
     intersection_form,
     nonorientable_scheme,
@@ -45,6 +44,7 @@ from arfbrown.surface import (
     random_scheme,
 )
 from arfbrown.tqft import consistency_report
+from gauss_oracle import block_sum
 
 
 class _Budget:
@@ -101,28 +101,6 @@ def test_criterion_03_gauss_sum_modulus_exhaustive():
     budget.check()
 
 
-def _block_sum(pieces):
-    labels = []
-    values = {}
-    rows = []
-    offset = 0
-    total = sum(q.dim for q in pieces)
-    for p, q in enumerate(pieces):
-        form = q.form
-        for i, label in enumerate(form.basis_labels):
-            new = f"p{p}_{label}"
-            labels.append(new)
-            values[new] = q.basis_value(label)
-        for i in range(form.dim):
-            row = [0] * total
-            for j in range(form.dim):
-                row[offset + j] = form.gram.entry(i, j)
-            rows.append(row)
-        offset += form.dim
-    big = IntersectionForm(tuple(labels), F2Matrix(rows, ncols=total))
-    return Enhancement(big, values)
-
-
 def test_criterion_04_exponents_add_mod_8():
     budget = _Budget(1)
     form, q1, _ = _rp2_enhancements()
@@ -134,9 +112,9 @@ def test_criterion_04_exponents_add_mod_8():
     )
     for _ in range(15):
         pieces = [rng.choice(pool) for _ in range(rng.randint(2, 3))]
-        joint = arf_brown(_block_sum(pieces)).exponent
+        joint = arf_brown(block_sum(pieces)).exponent
         assert joint == sum(arf_brown(q).exponent for q in pieces) % 8
-    eight = _block_sum([q1] * 8)
+    eight = block_sum([q1] * 8)
     assert arf_brown(eight).exponent == 0
     budget.check()
 

@@ -1,6 +1,7 @@
 """Command-line interface: grammar, encodings, and exit codes."""
 
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -135,6 +136,40 @@ def test_arf_brown_cap_dim(tmp_path, capsys):
     assert main(["arf-brown", "--cap-dim", "25", path]) == 0
 
 
+def test_arf_brown_large_dimension(tmp_path, capsys):
+    # 300 crosscaps with q = 1 each: exponent 300 mod 8 = 4
+    crosscaps = [f"x{i}" for i in range(300)]
+    path = _write(
+        tmp_path,
+        "n300.surf",
+        "surface N: " + " ".join(f"{a} {a}" for a in crosscaps)
+        + "\nenhance N: " + " ".join(f"{a}=1" for a in crosscaps) + "\n",
+    )
+    start = time.monotonic()
+    assert main(["arf-brown", "--cap-dim", "400", "--format", "structured", path]) == 0
+    assert time.monotonic() - start < 2
+    (rec,) = _records(capsys)
+    assert rec["dim"] == 300
+    assert rec["exponent"] == 4
+    assert rec["gauss_sum"] == [-(2**150), 0, 0, 0]
+    assert rec["arf"] is None
+
+    # genus 150 with q(a) = q(b) = 2 on every handle: Arf 150 mod 2 = 0
+    handles = [(f"a{i}", f"b{i}") for i in range(150)]
+    path = _write(
+        tmp_path,
+        "g150.surf",
+        "surface G: " + " ".join(f"{a} {b} {a}' {b}'" for a, b in handles)
+        + "\nenhance G: " + " ".join(f"{a}=2 {b}=2" for a, b in handles) + "\n",
+    )
+    assert main(["arf-brown", "--cap-dim", "400", "--format", "structured", path]) == 0
+    (rec,) = _records(capsys)
+    assert rec["dim"] == 300
+    assert rec["exponent"] == 0
+    assert rec["gauss_sum"] == [2**150, 0, 0, 0]
+    assert rec["arf"] == 0
+
+
 # ---------------------------------------------------------------- majorana
 
 
@@ -231,6 +266,28 @@ def test_tqft_bad_theory_is_exit_2(tmp_path, capsys):
     assert main(["tqft", "ab=9", path]) == 2
     assert main(["tqft", "euler=2", path]) == 2
     assert main(["tqft", "ab=1 euler=0", path]) == 2
+
+
+def test_tqft_honours_cap_dim(tmp_path, capsys):
+    genus2 = _write(
+        tmp_path,
+        "g2.surf",
+        "surface G: a b a' b' c d c' d'\nenhance G: a=0 b=0 c=0 d=0\n",
+    )
+    assert main(["tqft", "--cap-dim", "2", "ab=1", genus2]) == 4
+    assert "cap" in capsys.readouterr().err
+    word = " ".join(f"x{i} x{i}" for i in range(21))
+    big = _write(
+        tmp_path,
+        "n21.surf",
+        f"surface B: {word}\nenhance B: "
+        + " ".join(f"x{i}=1" for i in range(21))
+        + "\n",
+    )
+    assert main(["tqft", "ab=1", big]) == 4
+    capsys.readouterr()
+    assert main(["tqft", "--cap-dim", "25", "--format", "structured", "ab=1", big]) == 0
+    assert _records(capsys)[-1]["exponent"] == 21 % 8
 
 
 def test_parse_theory_gaussian_literals():

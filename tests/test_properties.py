@@ -1,0 +1,58 @@
+"""Property tests of the Brown exponent on generated nondegenerate forms."""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from arfbrown.f2 import F2Matrix
+from arfbrown.quadform import Enhancement, arf_brown, gauss_sum
+from arfbrown.surface import IntersectionForm
+from gauss_oracle import block_sum, enumerated_gauss_sum, root_of_gauss_sum
+
+_SETTINGS = settings(max_examples=100, deadline=None, database=None)
+
+
+@st.composite
+def nondegenerate_enhancements(draw, max_dim: int):
+    """q on G = P B P^T: B is a block sum of rank-1 pieces [1] and
+    hyperbolic pairs, and P = L U with L, U unitriangular, so G is
+    nondegenerate; the values on the new basis only need G's diagonal
+    parity."""
+    dim = draw(st.integers(0, max_dim))
+    pairs = draw(st.integers(0, dim // 2))
+    block = [[0] * dim for _ in range(dim)]
+    for i in range(2 * pairs, dim):
+        block[i][i] = 1
+    for i in range(0, 2 * pairs, 2):
+        block[i][i + 1] = block[i + 1][i] = 1
+    bits = st.integers(0, 1)
+    lower = [[1 if i == j else draw(bits) if j < i else 0 for j in range(dim)]
+             for i in range(dim)]
+    upper = [[1 if i == j else draw(bits) if j > i else 0 for j in range(dim)]
+             for i in range(dim)]
+
+    def mul(a, b):
+        return [[sum(a[i][k] & b[k][j] for k in range(dim)) & 1
+                 for j in range(dim)] for i in range(dim)]
+
+    p = mul(lower, upper)
+    pt = [list(col) for col in zip(*p)]
+    gram = mul(mul(p, block), pt)
+    labels = tuple(f"x{i}" for i in range(dim))
+    form = IntersectionForm(labels, F2Matrix(gram, ncols=dim))
+    values = {label: gram[i][i] + 2 * draw(bits) for i, label in enumerate(labels)}
+    return Enhancement(form, values)
+
+
+@_SETTINGS
+@given(nondegenerate_enhancements(max_dim=12))
+def test_split_equals_enumeration_on_generated_forms(q):
+    s = enumerated_gauss_sum(q)
+    assert arf_brown(q) == root_of_gauss_sum(s, q.dim)
+    assert gauss_sum(q) == s
+
+
+@_SETTINGS
+@given(st.lists(nondegenerate_enhancements(max_dim=5), min_size=1, max_size=4))
+def test_brown_exponent_adds_over_block_sums(pieces):
+    joint = arf_brown(block_sum(pieces)).exponent
+    assert joint == sum(arf_brown(q).exponent for q in pieces) % 8

@@ -5,12 +5,13 @@ from itertools import product
 
 import pytest
 
-from arfbrown.f2 import F2Vector
+from arfbrown.f2 import F2Matrix, F2Vector
 from arfbrown.quadform import (
     CapExceeded,
     Cyc8,
     DimensionMismatch,
     Enhancement,
+    NotRootOfUnity,
     NotSpin,
     ParityViolation,
     RootOfUnity8,
@@ -22,10 +23,14 @@ from arfbrown.quadform import (
 )
 from arfbrown.surface import (
     GluingScheme,
+    IntersectionForm,
     intersection_form,
     nonorientable_scheme,
     orientable_scheme,
+    random_scheme,
 )
+from arfbrown.tqft import surface_form
+from gauss_oracle import block_sum, enumerated_gauss_sum, root_of_gauss_sum
 
 
 def _form(text: str):
@@ -268,36 +273,66 @@ def test_sphere_gauss_sum():
 
 def test_exponent_additivity_via_block_sum():
     # disjoint union = block-diagonal form with concatenated values
-    from arfbrown.f2 import F2Matrix
-    from arfbrown.surface import IntersectionForm
-
     rng = random.Random(23)
     pieces = ["a a", "a b a' b'", "a a b b"]
     for _ in range(20):
-        t1, t2 = rng.choice(pieces), rng.choice(pieces)
-        f1, f2 = _form(t1), _form(t2)
-        q1 = rng.choice(enumerate_enhancements(f1))
-        q2 = rng.choice(enumerate_enhancements(f2))
-        n1, n2 = f1.dim, f2.dim
-        labels = tuple(f"u{i}" for i in range(n1)) + tuple(
-            f"v{i}" for i in range(n2)
-        )
-        rows = [
-            [f1.gram.entry(i, j) for j in range(n1)] + [0] * n2
-            for i in range(n1)
-        ] + [
-            [0] * n1 + [f2.gram.entry(i, j) for j in range(n2)]
-            for i in range(n2)
-        ]
-        big = IntersectionForm(labels, F2Matrix(rows, ncols=n1 + n2))
-        values = {
-            f"u{i}": q1.basis_value(f1.basis_labels[i]) for i in range(n1)
-        }
-        values.update(
-            {f"v{i}": q2.basis_value(f2.basis_labels[i]) for i in range(n2)}
-        )
-        q = Enhancement(big, values)
+        q1 = rng.choice(enumerate_enhancements(_form(rng.choice(pieces))))
+        q2 = rng.choice(enumerate_enhancements(_form(rng.choice(pieces))))
         assert (
-            arf_brown(q).exponent
+            arf_brown(block_sum([q1, q2])).exponent
             == (arf_brown(q1).exponent + arf_brown(q2).exponent) % 8
         )
+
+
+# ------------------------------------------- splitting against enumeration
+
+
+def _assert_split_matches_enumeration(q):
+    s = enumerated_gauss_sum(q)
+    assert arf_brown(q) == root_of_gauss_sum(s, q.dim)
+    assert gauss_sum(q) == s
+
+
+def test_split_matches_enumeration():
+    canonical = [orientable_scheme(g) for g in range(5)]
+    canonical += [nonorientable_scheme(k) for k in range(1, 9)]
+    pool = []
+    for scheme in canonical:
+        for q in enumerate_enhancements(intersection_form(scheme)):
+            _assert_split_matches_enumeration(q)
+            pool.append(q)
+    assert len(pool) == 851
+
+    rng = random.Random(29)
+    for _ in range(60):
+        pieces = [rng.choice(pool) for _ in range(rng.randint(2, 3))]
+        if sum(q.dim for q in pieces) <= 16:
+            _assert_split_matches_enumeration(block_sum(pieces))
+
+    rng = random.Random(31)
+    dims = set()
+    for _ in range(200):
+        scheme = random_scheme(rng, rng.randint(1, 16))
+        form = surface_form(scheme)
+        if form.dim > 16:
+            continue
+        dims.add(form.dim)
+        values = {
+            label: form.gram.entry(i, i) + 2 * rng.randint(0, 1)
+            for i, label in enumerate(form.basis_labels)
+        }
+        _assert_split_matches_enumeration(Enhancement(form, values))
+    assert max(dims) == 16
+
+
+def test_degenerate_forms_are_not_roots_of_unity():
+    for rows in ([[0]], [[1, 0], [0, 0]]):
+        labels = tuple("ab"[: len(rows)])
+        form = IntersectionForm(labels, F2Matrix(rows, ncols=len(rows)))
+        for q in enumerate_enhancements(form):
+            with pytest.raises(NotRootOfUnity):
+                arf_brown(q)
+            with pytest.raises(NotRootOfUnity):
+                gauss_sum(q)
+            with pytest.raises(NotRootOfUnity):
+                root_of_gauss_sum(enumerated_gauss_sum(q), q.dim)
