@@ -41,14 +41,7 @@ from .quadform import (
     arf,
     arf_brown,
 )
-from .surface import (
-    GluingScheme,
-    MalformedWord,
-    MultipleVertices,
-    analyze,
-    intersection_form,
-    normalize,
-)
+from .surface import GluingScheme, MalformedWord, analyze, normalize, surface_form
 from .tqft import (
     TheoryClass,
     consistency_report,
@@ -56,7 +49,6 @@ from .tqft import (
     evaluate_point,
     is_stable,
     partition_function,
-    surface_form,
 )
 
 __all__ = ["main", "ParseError", "PreconditionError"]
@@ -455,6 +447,14 @@ def _attach_enhancements(
     return out
 
 
+def _check_cap_dim(q: Enhancement, cap_dim: int) -> None:
+    """--cap-dim bounds the input's form dimension; the library has no cap."""
+    if q.dim > cap_dim:
+        raise CapExceeded(
+            f"form dimension {q.dim} exceeds the cap of {cap_dim} (--cap-dim)"
+        )
+
+
 def cmd_arf_brown(
     paths: Sequence[str],
     inline_specs: Sequence[str],
@@ -463,7 +463,8 @@ def cmd_arf_brown(
 ) -> int:
     statements = _collect(paths)
     for surf, q, values in _attach_enhancements(statements, inline_specs):
-        root = arf_brown(q, cap=cap_dim)
+        _check_cap_dim(q, cap_dim)
+        root = arf_brown(q)
         total = _gauss_sum_of_root(root, q.dim)
         arf_value = arf(q) if q.is_even_valued() else None
         record = {
@@ -490,25 +491,21 @@ def cmd_arf_brown(
     return 0
 
 
-def _expected_ground(stmt: ComponentStmt) -> tuple[int, str]:
-    if stmt.kind == "circle":
-        parity = "even" if sum(stmt.bits) % 2 else "odd"
-        return 1, parity
-    return 2, "mixed"
-
-
 def cmd_majorana(paths: Sequence[str], cap_n: int, emitter: Emitter) -> int:
     for stmt in _collect(paths):
         if not isinstance(stmt, ComponentStmt):
             continue
         if stmt.kind == "circle":
             setup = ChainSetup.circle(stmt.bits, stmt.orientation)
-            circle_class = classify_circle(setup.component).value
+            cls = classify_circle(setup.component)
+            circle_class = cls.value
+            # the ground line is the generator theory's value on the circle
+            want_dim, want_parity = 1, evaluate_circle(TheoryClass(1), cls).parity
         else:
             setup = ChainSetup.interval(stmt.bits, stmt.orientation)
             circle_class = None
+            want_dim, want_parity = 2, "mixed"
         report = ground_states(setup, cap=cap_n)
-        want_dim, want_parity = _expected_ground(stmt)
         verdict = (
             "ok"
             if (report.ground_dimension, report.ground_parity)
@@ -611,7 +608,8 @@ def cmd_tqft(
                 [f"circle {stmt.name}: {cls.value}, {line.parity} line"],
             )
     for surf, q, values in enhanced:
-        value = partition_function(theory, [(surf.scheme, q)], cap=cap_dim)
+        _check_cap_dim(q, cap_dim)
+        value = partition_function(theory, [(surf.scheme, q)])
         total = value if total is None else total * value
         emitter.emit(
             {
@@ -753,7 +751,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (
         ParityViolation,
         NotSpin,
-        MultipleVertices,
         HasBoundary,
         DimensionMismatch,
         PreconditionError,

@@ -6,4 +6,4 @@ __all__ = ["CapExceeded"]
 
 
 class CapExceeded(ValueError):
-    """A problem size exceeds the configured cap for exact enumeration."""
+    """An input exceeds a configured size cap (chain vertices, form dimension)."""

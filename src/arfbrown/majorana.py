@@ -44,7 +44,6 @@ __all__ = [
     "epsilon_operator",
     "reference_module",
     "interval_bimodule_check",
-    "CapExceeded",
 ]
 
 DEFAULT_VERTEX_CAP = 10

@@ -22,7 +22,6 @@ from __future__ import annotations
 from itertools import product
 from typing import Mapping
 
-from .errors import CapExceeded
 from .f2 import F2Vector, symplectic_basis
 from .surface import IntersectionForm
 
@@ -39,7 +38,6 @@ __all__ = [
     "NotSpin",
     "NotRootOfUnity",
     "ParityViolation",
-    "CapExceeded",
 ]
 
 
@@ -79,10 +77,6 @@ class Cyc8:
     @classmethod
     def one(cls) -> Cyc8:
         return cls(1)
-
-    @classmethod
-    def from_int(cls, n: int) -> Cyc8:
-        return cls(n)
 
     @classmethod
     def zeta(cls, k: int = 1) -> Cyc8:
@@ -388,23 +382,19 @@ def _gauss_sum_of_root(root: RootOfUnity8, dim: int) -> Cyc8:
     return root.cyc8() * Cyc8.sqrt2() ** dim
 
 
-def arf_brown(q: Enhancement, cap: int = 20) -> RootOfUnity8:
+def arf_brown(q: Enhancement) -> RootOfUnity8:
     """The Arf-Brown invariant: the unique k with S = zeta8^k sqrt(2)^dim.
 
-    Found by orthogonal splitting, polynomial in the dimension; cap bounds
-    the input's dimension.  A degenerate form raises NotRootOfUnity.
+    Found by orthogonal splitting, polynomial in the dimension.  A
+    degenerate form raises NotRootOfUnity.
     """
-    if q.dim > cap:
-        raise CapExceeded(
-            f"Gauss sum over 2^{q.dim} classes exceeds the cap of 2^{cap}"
-        )
     return RootOfUnity8(_brown_exponent(q))
 
 
-def gauss_sum(q: Enhancement, cap: int = 20) -> Cyc8:
+def gauss_sum(q: Enhancement) -> Cyc8:
     """S = sum of i^q(x) over all of H_1, exactly in Z[zeta8].
 
     The sum is zeta8^k * sqrt(2)^dim for the Arf-Brown exponent k, so it is
     built from k in closed form; no class is enumerated.
     """
-    return _gauss_sum_of_root(arf_brown(q, cap=cap), q.dim)
+    return _gauss_sum_of_root(arf_brown(q), q.dim)

@@ -4,7 +4,9 @@ A word is a cyclic sequence of signed letters in which every letter occurs
 exactly twice; it encodes a polygon whose sides are identified in pairs.
 This module computes the Euler characteristic, orientability, the canonical
 word from the classification of surfaces, and the mod-2 intersection form on
-first homology for one-vertex words.
+first homology, on which enhancements live: a one-vertex word's own form
+(``intersection_form``), or for any word the form of a one-vertex word of the
+same surface (``surface_form``).  Each is one pass over the word.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import Iterable
 
-from .f2 import F2Matrix
+from .f2 import F2Matrix, F2Vector
 
 __all__ = [
     "GluingScheme",
@@ -25,6 +27,7 @@ __all__ = [
     "orientable_scheme",
     "nonorientable_scheme",
     "intersection_form",
+    "surface_form",
     "random_scheme",
     "MalformedWord",
     "MultipleVertices",
@@ -127,63 +130,43 @@ class IntersectionForm:
     def dim(self) -> int:
         return len(self.basis_labels)
 
-    def label_index(self, label: str) -> int:
-        try:
-            return self.basis_labels.index(label)
-        except ValueError:
-            raise KeyError(label) from None
 
-
-class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, x: int) -> int:
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
-        return x
-
-    def union(self, x: int, y: int) -> None:
-        rx, ry = self.find(x), self.find(y)
-        if rx != ry:
-            self.parent[ry] = rx
-
-    def count(self) -> int:
-        return sum(1 for i, p in enumerate(self.parent) if self.find(i) == i)
-
-
-def _vertex_count(s: GluingScheme) -> int:
-    """Corners of the polygon identified by the side gluings."""
-    word = s.word
-    length = len(word)
-    uf = _UnionFind(length)
-    # side i runs from polygon corner i to corner i+1; +1 means the arrow
-    # agrees with that direction, -1 means it is reversed
-    occurrences: dict[str, list[int]] = {}
-    for i, (letter, _) in enumerate(word):
-        occurrences.setdefault(letter, []).append(i)
-    for letter, (p, q) in occurrences.items():
-        def tail(i: int) -> int:
-            return i if word[i][1] == 1 else (i + 1) % length
-
-        def head(i: int) -> int:
-            return (i + 1) % length if word[i][1] == 1 else i
-
-        uf.union(tail(p), tail(q))
-        uf.union(head(p), head(q))
-    return uf.count()
+def _root(parent: list[int], x: int) -> int:
+    """The representative of corner x's class, halving the path walked."""
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
 
 
 def analyze(s: GluingScheme) -> SurfaceInfo:
-    """Euler characteristic, orientability, and mod-2 first Betti number."""
-    n_letters = len(s.word) // 2
-    vertices = _vertex_count(s)
-    euler = vertices - n_letters + 1
-    signs: dict[str, list[int]] = {}
-    for letter, exp in s.word:
-        signs.setdefault(letter, []).append(exp)
-    orientable = all(sorted(v) == [-1, 1] for v in signs.values())
+    """Euler characteristic, orientability, and mod-2 first Betti number.
+
+    One pass over the word.  Side i runs from polygon corner i to corner
+    i + 1, its arrow along that direction iff the exponent is +1.  At a
+    letter's second occurrence its two sides are glued tail to tail and head
+    to head; each gluing that joins two corner classes removes one vertex.
+    The surface is orientable iff every letter occurs with both exponents.
+    """
+    word = s.word
+    length = len(word)
+    parent = list(range(length))
+    first: dict[str, int] = {}
+    vertices = length
+    orientable = True
+    for j, (letter, exp) in enumerate(word):
+        i = first.setdefault(letter, j)
+        if i == j:
+            continue
+        same = exp == word[i][1]
+        orientable = orientable and not same
+        i1, j1 = (i + 1) % length, (j + 1) % length
+        for x, y in ((i, j), (i1, j1)) if same else ((i, j1), (i1, j)):
+            rx, ry = _root(parent, x), _root(parent, y)
+            if rx != ry:
+                parent[ry] = rx
+                vertices -= 1
+    euler = vertices - length // 2 + 1
     return SurfaceInfo(
         euler_char=euler,
         orientable=orientable,
@@ -233,6 +216,13 @@ def nonorientable_scheme(crosscaps: int) -> GluingScheme:
     return GluingScheme(word)
 
 
+def _canonical_word(info: SurfaceInfo) -> GluingScheme:
+    """The canonical word with the classification in info."""
+    if info.orientable:
+        return orientable_scheme(info.betti1_mod2 // 2)
+    return nonorientable_scheme(info.betti1_mod2)
+
+
 def normalize(s: GluingScheme) -> GluingScheme:
     """The canonical word of the homeomorphic surface.
 
@@ -241,10 +231,36 @@ def normalize(s: GluingScheme) -> GluingScheme:
     directly; both invariants are preserved by construction and checked by
     tests.
     """
-    info = analyze(s)
-    if info.orientable:
-        return orientable_scheme((2 - info.euler_char) // 2)
-    return nonorientable_scheme(2 - info.euler_char)
+    return _canonical_word(analyze(s))
+
+
+def _form(s: GluingScheme, info: SurfaceInfo) -> IntersectionForm:
+    """The form of a one-vertex word s classified by info, in one pass.
+
+    A running mask holds the letters seen once so far.  Between a letter's
+    two occurrences the letters that interleave with it are those seen an
+    odd number of times, so its Gram row is the mask at its second
+    occurrence XOR the mask at its first, plus the diagonal bit.
+    """
+    if info.betti1_mod2 == 0:
+        return IntersectionForm(basis_labels=(), gram=F2Matrix([], ncols=0))
+    index: dict[str, int] = {}
+    first_exp: list[int] = []
+    rows: list[int] = []  # mask at the first occurrence, then the Gram row
+    seen_once = 0
+    for letter, exp in s.word:
+        i = index.get(letter)
+        if i is None:
+            i = index[letter] = len(rows)
+            seen_once ^= 1 << i
+            rows.append(seen_once)
+            first_exp.append(exp)
+        else:
+            rows[i] = (rows[i] ^ seen_once) | ((exp == first_exp[i]) << i)
+            seen_once ^= 1 << i
+    dim = len(rows)
+    gram = F2Matrix([F2Vector.from_mask(r, dim) for r in rows], ncols=dim)
+    return IntersectionForm(basis_labels=tuple(index), gram=gram)
 
 
 def intersection_form(s: GluingScheme) -> IntersectionForm:
@@ -255,31 +271,21 @@ def intersection_form(s: GluingScheme) -> IntersectionForm:
     Off-diagonal entry 1 iff the occurrences of the two letters interleave
     around the polygon.  For a sphere word (betti1 = 0) the empty form is
     returned, since H_1 = 0 leaves nothing to pair; other schemes must have
-    exactly one vertex (normalize first).
+    exactly one vertex (normalize first, or use ``surface_form``).
     """
     info = analyze(s)
-    if info.betti1_mod2 == 0:
-        return IntersectionForm(basis_labels=(), gram=F2Matrix([], ncols=0))
-    if info.vertex_count != 1:
+    if info.betti1_mod2 and info.vertex_count != 1:
         raise MultipleVertices(
             f"scheme has {info.vertex_count} vertices; normalize first"
         )
-    labels = s.letters
-    positions: dict[str, list[int]] = {}
-    signs: dict[str, list[int]] = {}
-    for i, (letter, exp) in enumerate(s.word):
-        positions.setdefault(letter, []).append(i)
-        signs.setdefault(letter, []).append(exp)
-    dim = len(labels)
-    gram = [[0] * dim for _ in range(dim)]
-    for i, a in enumerate(labels):
-        gram[i][i] = 1 if signs[a][0] == signs[a][1] else 0
-        p1, p2 = positions[a]
-        for j in range(i + 1, dim):
-            b = labels[j]
-            inside = sum(1 for q in positions[b] if p1 < q < p2)
-            gram[i][j] = gram[j][i] = inside % 2
-    return IntersectionForm(basis_labels=labels, gram=F2Matrix(gram))
+    return _form(s, info)
+
+
+def surface_form(s: GluingScheme) -> IntersectionForm:
+    """The intersection form used for enhancements on this scheme: its own
+    if the word has one vertex (or is a sphere), else the normal form's."""
+    info = analyze(s)
+    return _form(s if info.vertex_count == 1 else _canonical_word(info), info)
 
 
 def random_scheme(rng, n_letters: int) -> GluingScheme:

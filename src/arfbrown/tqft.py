@@ -4,7 +4,8 @@ A theory is an integer power of the Arf-Brown generator (mod 8, by Morita
 periodicity of Clifford algebras) together with a nonzero Euler weight.
 Points receive Clifford algebras, circles receive super lines, and closed
 surfaces receive the Arf-Brown root of unity raised to the theory's power
-times euler_weight^chi.  Stacking multiplies theories componentwise:
+times euler_weight^chi; each surface's enhancement lives on its
+``surface.surface_form``.  Stacking multiplies theories componentwise:
 powers add mod 8, weights multiply.
 """
 
@@ -27,11 +28,9 @@ from .quadform import (
 )
 from .surface import (
     GluingScheme,
-    MultipleVertices,
-    analyze,
     intersection_form,
-    normalize,
     orientable_scheme,
+    surface_form,
 )
 
 __all__ = [
@@ -47,7 +46,6 @@ __all__ = [
     "stack",
     "is_stable",
     "consistency_report",
-    "surface_form",
 ]
 
 
@@ -131,24 +129,11 @@ def evaluate_circle(t: TheoryClass, c: CircleClass) -> SuperLineValue:
     return SuperLineValue("odd" if t.ab_power % 2 else "even")
 
 
-def surface_form(scheme: GluingScheme):
-    """The intersection form used for enhancements on this scheme: its own
-    if the word has one vertex (or is a sphere), else the normal form's."""
-    try:
-        return intersection_form(scheme)
-    except MultipleVertices:
-        return intersection_form(normalize(scheme))
-
-
 def partition_function(
     t: TheoryClass,
     surfaces: Iterable[tuple[GluingScheme, Enhancement]],
-    cap: int = 20,
 ) -> PartitionValue:
-    """The product value over a disjoint union of enhanced closed surfaces.
-
-    cap bounds each surface's form dimension, as in ``arf_brown``.
-    """
+    """The product value over a disjoint union of enhanced closed surfaces."""
     total_exponent = 0
     total_chi = 0
     for scheme, q in surfaces:
@@ -158,8 +143,8 @@ def partition_function(
                 "enhancement is defined on a different intersection form"
                 f" than the scheme {scheme.text()!r} carries"
             )
-        total_exponent += arf_brown(q, cap=cap).exponent
-        total_chi += analyze(scheme).euler_char
+        total_exponent += arf_brown(q).exponent
+        total_chi += 2 - expected.dim  # the form's dimension is b1 = 2 - chi
     root = RootOfUnity8(t.ab_power * total_exponent)
     return PartitionValue(root=root, euler_factor=t.euler_weight**total_chi)
 

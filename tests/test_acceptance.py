@@ -9,14 +9,7 @@ import time
 from fractions import Fraction
 from itertools import product
 
-import numpy as np
-
-from arfbrown.clifford import (
-    GaussianRational,
-    Signature,
-    SuperMatrix,
-    irreducible_supermodule,
-)
+from arfbrown.clifford import Signature, irreducible_supermodule
 from arfbrown.f2 import rank
 from arfbrown.majorana import (
     ChainSetup,
@@ -44,6 +37,7 @@ from arfbrown.surface import (
     random_scheme,
 )
 from arfbrown.tqft import consistency_report
+from clifford_checks import assert_clifford_relations, int_matrix
 from gauss_oracle import block_sum
 
 
@@ -183,45 +177,25 @@ def test_criterion_08_epsilon_eigenvalue_profiles():
     budget.check()
 
 
-def _int_matrix(m: SuperMatrix) -> np.ndarray:
-    size = m.dim_even + m.dim_odd
-    out = np.zeros((size, size), dtype=np.int64)
-    for i in range(size):
-        for j in range(size):
-            z = m.entry(i, j)
-            assert z.im == 0 and z.re.denominator == 1
-            out[i, j] = int(z.re)
-    return out
-
-
-def _assert_clifford_relations(mats, signs):
-    dim = mats[0].shape[0]
-    ident = np.eye(dim, dtype=np.int64)
-    for i, (g, sign) in enumerate(zip(mats, signs)):
-        assert np.array_equal(g @ g, sign * ident)
-        for h in mats[i + 1 :]:
-            assert np.array_equal(g @ h, -(h @ g))
-
-
 def test_criterion_09_clifford_relation_suite():
     budget = _Budget(120)
     rng = random.Random(113)
     for n in range(1, 6):
         ops = majorana_operators(ChainSetup.circle((0,) * n))
         mats = [ops[v][0] for v in range(n)] + [ops[v][1] for v in range(n)]
-        _assert_clifford_relations(mats, [1] * n + [-1] * n)
+        assert_clifford_relations(mats, [1] * n + [-1] * n)
 
         sig = Signature.cl(n, n)
         module = irreducible_supermodule(sig)
-        _assert_clifford_relations(
-            [_int_matrix(m) for m in module],
+        assert_clifford_relations(
+            [int_matrix(m) for m in module],
             [sig.sign(label) for label in sig.labels],
         )
 
         bits = tuple(rng.randint(0, 1) for _ in range(n))
         ref = reference_module(ChainSetup.circle(bits, rng.choice((1, -1))))
         mats = [ref.c[v] for v in range(n)] + [ref.d[v] for v in range(n)]
-        _assert_clifford_relations(mats, [1] * n + [-1] * n)
+        assert_clifford_relations(mats, [1] * n + [-1] * n)
     budget.check()
 
 

@@ -133,6 +133,7 @@ def test_arf_brown_cap_dim(tmp_path, capsys):
         + "\n",
     )
     assert main(["arf-brown", path]) == 4
+    assert "form dimension 21 exceeds the cap of 20" in capsys.readouterr().err
     assert main(["arf-brown", "--cap-dim", "25", path]) == 0
 
 

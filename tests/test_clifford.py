@@ -23,6 +23,7 @@ from arfbrown.clifford import (
     multiply,
 )
 from arfbrown.exactla import rational_nullity
+from clifford_checks import assert_clifford_relations, int_matrix
 
 
 # ------------------------------------------------------- Gaussian rationals
@@ -265,37 +266,14 @@ def test_cl11_rep_is_the_grading_pair():
     assert prod.entry(1, 0) == GaussianRational.zero()
 
 
-def _as_int_matrix(m: SuperMatrix) -> np.ndarray:
-    size = m.dim_even + m.dim_odd
-    out = np.zeros((size, size), dtype=np.int64)
-    for i in range(size):
-        for j in range(size):
-            z = m.entry(i, j)
-            assert z.im == 0 and z.re.denominator == 1
-            out[i, j] = int(z.re)
-    return out
-
-
-def _check_relations(mats, signs):
-    k = len(mats)
-    dim = mats[0].shape[0]
-    ident = np.eye(dim, dtype=np.int64)
-    for i in range(k):
-        assert np.array_equal(mats[i] @ mats[i], signs[i] * ident)
-        for j in range(i + 1, k):
-            assert np.array_equal(
-                mats[i] @ mats[j], -(mats[j] @ mats[i])
-            )
-
-
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_supermodule_relations(n):
     sig = Signature.cl(n, n)
     mats = irreducible_supermodule(sig)
     assert len(mats) == 2 * n
     assert all(m.parity == "odd" for m in mats)
-    _check_relations(
-        [_as_int_matrix(m) for m in mats],
+    assert_clifford_relations(
+        [int_matrix(m) for m in mats],
         [sig.sign(l) for l in sig.labels],
     )
 
@@ -303,7 +281,7 @@ def test_supermodule_relations(n):
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_supermodule_is_ungraded_irreducible(n):
     # commutant of the action is 1-dimensional: solve [M, g] = 0 for all g
-    mats = [_as_int_matrix(m) for m in irreducible_supermodule(Signature.cl(n, n))]
+    mats = [int_matrix(m) for m in irreducible_supermodule(Signature.cl(n, n))]
     k = mats[0].shape[0]
     rows = []
     for g in mats:

@@ -5,8 +5,9 @@ from hypothesis import strategies as st
 
 from arfbrown.f2 import F2Matrix
 from arfbrown.quadform import Enhancement, arf_brown, gauss_sum
-from arfbrown.surface import IntersectionForm
+from arfbrown.surface import GluingScheme, IntersectionForm
 from gauss_oracle import block_sum, enumerated_gauss_sum, root_of_gauss_sum
+from surface_oracle import assert_matches_oracle, vertex_count
 
 _SETTINGS = settings(max_examples=100, deadline=None, database=None)
 
@@ -56,3 +57,41 @@ def test_split_equals_enumeration_on_generated_forms(q):
 def test_brown_exponent_adds_over_block_sums(pieces):
     joint = arf_brown(block_sum(pieces)).exponent
     assert joint == sum(arf_brown(q).exponent for q in pieces) % 8
+
+
+@st.composite
+def gluing_words(draw, max_letters: int):
+    """A word on 1..max_letters letters: a shuffle of each letter twice,
+    each occurrence with a drawn sign.  Most such words have several
+    vertices."""
+    n = draw(st.integers(1, max_letters))
+    order = draw(st.permutations([f"x{i}" for i in range(n)] * 2))
+    signs = draw(st.lists(st.sampled_from((1, -1)), min_size=2 * n, max_size=2 * n))
+    return GluingScheme(zip(order, signs))
+
+
+@st.composite
+def one_vertex_words(draw, max_letters: int):
+    """A one-vertex word, grown from a torus or a projective plane by
+    inserting a new letter's two occurrences wherever that keeps one vertex
+    (by the oracle's count)."""
+    word = list(draw(st.sampled_from((GluingScheme.from_text("a b a' b'"),
+                                      GluingScheme.from_text("a a")))).word)
+    n = draw(st.integers(1, max_letters))
+    spot, sign = st.integers(0, 4 * max_letters), st.sampled_from((1, -1))
+    for _ in range(4 * n):
+        if len(word) >= 2 * n:
+            break
+        s1, s2, e1, e2 = draw(st.tuples(spot, spot, sign, sign))
+        p, q = sorted((s1 % (len(word) + 1), s2 % (len(word) + 1)))
+        letter = f"y{len(word)}"
+        grown = word[:p] + [(letter, e1)] + word[p:q] + [(letter, e2)] + word[q:]
+        if vertex_count(GluingScheme(grown)) == 1:
+            word = grown
+    return GluingScheme(word)
+
+
+@_SETTINGS
+@given(st.one_of(gluing_words(60), one_vertex_words(60)))
+def test_one_pass_surface_scans_match_oracle(s):
+    assert_matches_oracle(s)

@@ -1,13 +1,13 @@
 """Z/4 enhancements and exact Gauss sums in Z[zeta_8]."""
 
 import random
+from fractions import Fraction
 from itertools import product
 
 import pytest
 
 from arfbrown.f2 import F2Matrix, F2Vector
 from arfbrown.quadform import (
-    CapExceeded,
     Cyc8,
     DimensionMismatch,
     Enhancement,
@@ -28,8 +28,9 @@ from arfbrown.surface import (
     nonorientable_scheme,
     orientable_scheme,
     random_scheme,
+    surface_form,
 )
-from arfbrown.tqft import surface_form
+from arfbrown.tqft import TheoryClass, partition_function
 from gauss_oracle import block_sum, enumerated_gauss_sum, root_of_gauss_sum
 
 
@@ -248,13 +249,18 @@ def test_gauss_sum_modulus_small():
             assert s * s.conj() == Cyc8(2**form.dim, 0, 0, 0)
 
 
-def test_gauss_sum_cap():
-    form = intersection_form(orientable_scheme(11))
-    q = Enhancement(form, {label: 0 for label in form.basis_labels})
-    with pytest.raises(CapExceeded):
-        gauss_sum(q)
-    with pytest.raises(CapExceeded):
-        arf_brown(q)
+def test_genus_11_evaluates_without_a_dimension_cap():
+    # dim 22, past the CLI's default --cap-dim: the library takes any size.
+    # q = 2 on every basis class gives Arf 11 mod 2 = 1, so the root is -1.
+    scheme = orientable_scheme(11)
+    form = intersection_form(scheme)
+    assert form.dim == 22
+    q = Enhancement(form, {label: 2 for label in form.basis_labels})
+    assert arf_brown(q) == RootOfUnity8(4)
+    assert gauss_sum(q) == Cyc8(-(2**11))
+    value = partition_function(TheoryClass(1, 2), [(scheme, q)])
+    assert value.root == RootOfUnity8(4)
+    assert value.euler_factor == Fraction(1, 2**20)
 
 
 def test_arf_brown_spin_reduction_exhaustive_genus2():

@@ -1,6 +1,7 @@
 """Gluing words: classification, normal forms, and intersection forms."""
 
 import random
+from itertools import permutations, product
 
 import pytest
 
@@ -15,6 +16,7 @@ from arfbrown.surface import (
     orientable_scheme,
     random_scheme,
 )
+from surface_oracle import assert_matches_oracle
 
 
 def test_sphere_word():
@@ -168,3 +170,14 @@ def test_random_scheme_is_valid():
             assert exp in (1, -1)
             counts[letter] = counts.get(letter, 0) + 1
         assert all(c == 2 for c in counts.values())
+
+
+def test_one_pass_matches_oracle_on_every_short_word():
+    # every word of 1-3 letters: each order of the occurrences, each sign
+    count = 0
+    for n in range(1, 4):
+        for order in sorted(set(permutations("abc"[:n] * 2))):
+            for signs in product((1, -1), repeat=2 * n):
+                assert_matches_oracle(GluingScheme(zip(order, signs)))
+                count += 1
+    assert count == 4 + 6 * 16 + 90 * 64
