@@ -29,7 +29,7 @@ from typing import Iterable, Sequence
 
 from .clifford import GaussianRational
 from .errors import CapExceeded
-from .majorana import ChainSetup, ground_states
+from .majorana import DEFAULT_VERTEX_CAP, ChainSetup, ground_states
 from .pin1 import HasBoundary, classify_circle
 from .quadform import (
     Cyc8,
@@ -680,9 +680,9 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--cap-n",
         type=_positive_int,
-        default=10,
+        default=DEFAULT_VERTEX_CAP,
         metavar="N",
-        help="largest vertex count for chain spectra (default 10)",
+        help="largest vertex count for chain spectra (default %(default)s)",
     )
     common.add_argument(
         "--cap-dim",

@@ -1,9 +1,13 @@
 """Exact linear algebra over Q and over large prime fields.
 
-Integer matrices only.  Ranks over a prime field never exceed the rank
-over Q, so a family of modular nullities that already sums to the space's
-dimension is certified exact; the tests use that certificate to check the
-closed-form chain spectra.  Rational computations use Fraction throughout.
+Integer matrices only.  The one runtime caller is `majorana`, which takes
+`rational_nullity` of the 8x4 commutant system of the interval's boundary
+module.  The other functions are the tests' oracles: `modular_nullity`
+scans chain spectra over GF(p) (ranks over a prime field never exceed the
+rank over Q, so modular nullities that sum to the dimension are exact), and
+`solve_in_span` restricts operators to the ground space by Fraction
+elimination.  They stay here, not in the tests, only because the
+benchmark's tracer names them.
 """
 
 from __future__ import annotations

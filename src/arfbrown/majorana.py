@@ -30,7 +30,7 @@ import numpy as np
 
 from .clifford import SignedPerm
 from .errors import CapExceeded
-from .exactla import fraction_rref, solve_in_span
+from .exactla import rational_nullity
 from .pin1 import Circle, HasBoundary, Interval
 
 __all__ = [
@@ -182,16 +182,19 @@ class GroundStateReport:
     spectrum: tuple[tuple[Fraction, int], ...]
 
 
+_PARITY = {(0,): "even", (1,): "odd", (0, 1): "mixed"}
+
+
 def _ground_data(
     setup: ChainSetup, cap: int
-) -> tuple[GroundStateReport, list[np.ndarray]]:
-    """The spectral report plus exact integer ground vectors.
+) -> tuple[GroundStateReport, dict[int, np.ndarray]]:
+    """The spectral report plus exact integer ground vectors, keyed by parity.
 
     Every T_e flips two vertices (or none, on a one-vertex circle), so it
     preserves parity, and the flips connect all subsets of one parity.
     prod (1 - T_e) therefore maps the empty subset and the subset {0} onto
     vectors spanning the even and the odd part of the ground space; a
-    part may be zero.
+    part may be zero, and then its key is absent.
     """
     n = setup.vertex_count
     if n > cap:
@@ -212,8 +215,7 @@ def _ground_data(
         if product.trace() != 0:
             raise ArithmeticError("the product of all edge terms has a trace")
 
-    vectors: list[np.ndarray] = []
-    found = {0: 0, 1: 0}
+    vectors: dict[int, np.ndarray] = {}
     for probe in (0, 1):
         vec = np.zeros(dim, dtype=np.int64)
         vec[probe] = 1
@@ -225,20 +227,13 @@ def _ground_data(
             raise ArithmeticError("a ground vector is not in the -1 eigenspace")
         if _support_parities(vec) != {probe}:
             raise ArithmeticError("ground vector is not grading-homogeneous")
-        found[probe] += 1
-        vectors.append(vec)
+        vectors[probe] = vec
     ground_dim = 1 << (n - edge_count)
     if len(vectors) != ground_dim:
         raise ArithmeticError(
             f"found {len(vectors)} ground vectors, expected {ground_dim}"
         )
 
-    if found[0] and found[1]:
-        parity = "mixed"
-    elif found[0]:
-        parity = "even"
-    else:
-        parity = "odd"
     spectrum = tuple(
         (Fraction(2 * j - edge_count, 2), comb(edge_count, j) * ground_dim)
         for j in range(edge_count + 1)
@@ -246,7 +241,7 @@ def _ground_data(
     report = GroundStateReport(
         min_eigenvalue=Fraction(-edge_count, 2),
         ground_dimension=ground_dim,
-        ground_parity=parity,
+        ground_parity=_PARITY[tuple(vectors)],
         spectrum=spectrum,
     )
     return report, vectors
@@ -258,6 +253,17 @@ def ground_states(
     """Full spectrum of H with exact multiplicities, plus ground data."""
     report, _ = _ground_data(setup, cap)
     return report
+
+
+def _epsilon(
+    c: Mapping[int, SignedPerm], d: Mapping[int, SignedPerm], order: Iterable[int]
+) -> SignedPerm:
+    """The product of d_v c_v over the vertices in order.  The factors
+    commute (they touch disjoint generator pairs), so the order is free."""
+    acc = SignedPerm.identity(c[0].target.size)
+    for v in order:
+        acc = d[v].after(c[v]).after(acc)
+    return acc
 
 
 def epsilon_operator(
@@ -274,11 +280,7 @@ def epsilon_operator(
     n = setup.vertex_count
     if vertex_order is None:
         vertex_order = range(n)
-    c, d = _majoranas(n)
-    acc = SignedPerm.identity(1 << n)
-    for v in vertex_order:
-        acc = d[v].after(c[v]).after(acc)
-    return acc.to_matrix()
+    return _epsilon(*_majoranas(n), vertex_order).to_matrix()
 
 
 @dataclass(frozen=True, eq=False)
@@ -308,21 +310,17 @@ def reference_module(setup: ChainSetup) -> ReferenceModule:
     if not setup.is_circle:
         raise HasBoundary("the reference module is built over a circle")
     n = setup.vertex_count
-    dim = 1 << n
     c: dict[int, SignedPerm] = {}
     d: dict[int, SignedPerm] = {}
     for idx, (tail, head, _bit) in enumerate(setup.edges):
         c[head] = SignedPerm.odd_generator(n, idx, negative=False)
         d[tail] = SignedPerm.odd_generator(n, idx, negative=True)
-    eps = SignedPerm.identity(dim)
-    for v in range(n):
-        eps = eps.after(d[v].after(c[v]))
     return ReferenceModule(
         vertex_count=n,
         c={v: op.to_matrix() for v, op in c.items()},
         d={v: op.to_matrix() for v, op in d.items()},
-        epsilon=eps.to_matrix(),
-        doubled_hamiltonian=_dense_sum(_edge_terms(setup, c, d), dim),
+        epsilon=_epsilon(c, d, range(n)).to_matrix(),
+        doubled_hamiltonian=_dense_sum(_edge_terms(setup, c, d), 1 << n),
     )
 
 
@@ -339,27 +337,34 @@ class IntervalReport:
     passed: bool
 
 
-def _restrict(op: SignedPerm, vectors: list[np.ndarray]) -> np.ndarray:
-    """The matrix of op on span(vectors), columns in the given basis, as an
-    object array of Fractions."""
-    basis = [vec.tolist() for vec in vectors]
-    cols = []
-    for vec in vectors:
-        coeffs = solve_in_span(basis, op.apply(vec).tolist())
-        if coeffs is None:
+def _restrict(op: SignedPerm, vectors: Mapping[int, np.ndarray]) -> np.ndarray:
+    """The 2x2 matrix of an odd operator on the ground space, in the basis
+    (even, odd) of `vectors`.
+
+    An odd op that preserves the ground space maps each ground vector onto
+    a multiple of the vector of the other parity.  The multiple is read at
+    one nonzero entry of that vector and certified by an exact comparison
+    over the whole vector; ArithmeticError if it fails.
+    """
+    out = np.zeros((2, 2), dtype=np.int64)
+    for parity, vec in vectors.items():
+        image, target = op.apply(vec), vectors[1 - parity]
+        i = int(np.flatnonzero(target)[0])
+        k, rem = divmod(int(image[i]), int(target[i]))
+        if rem or not np.array_equal(image, k * target):
             raise ArithmeticError("operator does not preserve the ground space")
-        cols.append(coeffs)
-    return np.array(cols, dtype=object).T
+        out[1 - parity, parity] = k
+    return out
 
 
 def _commutant_dimension(gens: list[np.ndarray]) -> int:
     """dim of {M : MG = GM for all G}.  With row-major vec,
     vec(GM - MG) = (G (x) I - I (x) G^T) vec(M); the system is rational, so
     the dimension over any extension field equals the rational nullity."""
-    ident = np.eye(len(gens[0]), dtype=object)
-    rows = np.vstack([np.kron(g, ident) - np.kron(ident, g.T) for g in gens])
-    _, pivots = fraction_rref(rows.tolist())
-    return rows.shape[1] - len(pivots)
+    ident = np.eye(len(gens[0]), dtype=np.int64)
+    return rational_nullity(
+        np.vstack([np.kron(g, ident) - np.kron(ident, g.T) for g in gens])
+    )
 
 
 def interval_bimodule_check(
@@ -390,14 +395,12 @@ def interval_bimodule_check(
 
     c_r = _restrict(c_op, vectors)
     d_r = _restrict(d_op, vectors)
-    ident = np.eye(len(vectors), dtype=object)
+    ident = np.eye(2, dtype=np.int64)
     plus_sq = np.array_equal(c_r @ c_r, ident)
     minus_sq = np.array_equal(d_r @ d_r, -ident)
     anti = np.array_equal(c_r @ d_r, -(d_r @ c_r))
     commutant_dim = _commutant_dimension([c_r, d_r])
     irreducible = len(vectors) == 2 and commutant_dim == 1
-
-    even_found = sum(1 for vec in vectors if _support_parities(vec) == {0})
     passed = bool(
         report.ground_dimension == 2
         and commutes
@@ -408,7 +411,7 @@ def interval_bimodule_check(
     )
     return IntervalReport(
         ground_dimension=report.ground_dimension,
-        parity_split=(even_found, len(vectors) - even_found),
+        parity_split=(int(0 in vectors), int(1 in vectors)),
         boundary_commutes=commutes,
         plus_squares_to_identity=plus_sq,
         minus_squares_to_minus_identity=minus_sq,

@@ -37,22 +37,18 @@ class CircleClass(Enum):
     NONBOUNDING = "nonbounding"
 
 
-def _check_bits(bits: Iterable[int]) -> tuple[int, ...]:
-    out = tuple(int(b) for b in bits)
-    if not out:
-        raise ValueError("a component needs at least one edge")
-    if any(b not in (0, 1) for b in out):
-        raise ValueError("edge bits must be 0 or 1")
-    return out
-
-
-class Circle:
-    """A circle with one bit per edge; n edges meet n vertices."""
+class _Component:
+    """A component with one bit per edge; equal only to the same kind."""
 
     __slots__ = ("_bits",)
 
     def __init__(self, edge_bits: Iterable[int]):
-        self._bits = _check_bits(edge_bits)
+        bits = tuple(int(b) for b in edge_bits)
+        if not bits:
+            raise ValueError("a component needs at least one edge")
+        if any(b not in (0, 1) for b in bits):
+            raise ValueError("edge bits must be 0 or 1")
+        self._bits = bits
 
     @property
     def edge_bits(self) -> tuple[int, ...]:
@@ -60,56 +56,39 @@ class Circle:
 
     @property
     def edge_count(self) -> int:
-        return len(self._bits)
-
-    @property
-    def vertex_count(self) -> int:
         return len(self._bits)
 
     def bit_sum(self) -> int:
         return sum(self._bits)
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, Circle) and self._bits == other._bits
+        return type(other) is type(self) and self._bits == other._bits
 
     def __hash__(self) -> int:
-        return hash(("Circle", self._bits))
+        return hash((type(self).__name__, self._bits))
 
     def __repr__(self) -> str:
-        return f"Circle({list(self._bits)})"
+        return f"{type(self).__name__}({list(self._bits)})"
 
 
-class Interval:
+class Circle(_Component):
+    """A circle with one bit per edge; n edges meet n vertices."""
+
+    __slots__ = ()
+
+    @property
+    def vertex_count(self) -> int:
+        return len(self._bits)
+
+
+class Interval(_Component):
     """An interval with one bit per edge; n edges meet n+1 vertices."""
 
-    __slots__ = ("_bits",)
-
-    def __init__(self, edge_bits: Iterable[int]):
-        self._bits = _check_bits(edge_bits)
-
-    @property
-    def edge_bits(self) -> tuple[int, ...]:
-        return self._bits
-
-    @property
-    def edge_count(self) -> int:
-        return len(self._bits)
+    __slots__ = ()
 
     @property
     def vertex_count(self) -> int:
         return len(self._bits) + 1
-
-    def bit_sum(self) -> int:
-        return sum(self._bits)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Interval) and self._bits == other._bits
-
-    def __hash__(self) -> int:
-        return hash(("Interval", self._bits))
-
-    def __repr__(self) -> str:
-        return f"Interval({list(self._bits)})"
 
 
 class Pin1Manifold:

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import string
 from dataclasses import dataclass
-from itertools import islice
 from typing import Iterable
 
 from .f2 import F2Matrix, F2Vector
@@ -28,7 +27,6 @@ __all__ = [
     "nonorientable_scheme",
     "intersection_form",
     "surface_form",
-    "random_scheme",
     "MalformedWord",
     "MultipleVertices",
 ]
@@ -286,12 +284,3 @@ def surface_form(s: GluingScheme) -> IntersectionForm:
     if the word has one vertex (or is a sphere), else the normal form's."""
     info = analyze(s)
     return _form(s if info.vertex_count == 1 else _canonical_word(info), info)
-
-
-def random_scheme(rng, n_letters: int) -> GluingScheme:
-    """A uniformly shuffled valid word on n_letters letters (test helper)."""
-    names = list(islice(_letter_names(), n_letters))
-    slots = names * 2
-    rng.shuffle(slots)
-    word = [(letter, rng.choice((1, -1))) for letter in slots]
-    return GluingScheme(word)

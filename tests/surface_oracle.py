@@ -5,8 +5,10 @@ Vertices come from a union-find over the polygon corners with a tail/head
 rule per side, and the Gram matrix from a scan of every pair of letters that
 counts the occurrences of one between the occurrences of the other, so the
 form costs O(dim^2) steps.  ``assert_matches_oracle`` compares the package
-with it on one word.
+with it on one word; ``random_scheme`` draws the words.
 """
+
+from itertools import islice
 
 from arfbrown.f2 import F2Matrix
 from arfbrown.surface import (
@@ -14,6 +16,7 @@ from arfbrown.surface import (
     IntersectionForm,
     MultipleVertices,
     SurfaceInfo,
+    _letter_names,
     analyze,
     intersection_form,
     nonorientable_scheme,
@@ -21,6 +24,13 @@ from arfbrown.surface import (
     orientable_scheme,
     surface_form,
 )
+
+
+def random_scheme(rng, n_letters: int) -> GluingScheme:
+    """A uniformly shuffled valid word on n_letters letters."""
+    slots = list(islice(_letter_names(), n_letters)) * 2
+    rng.shuffle(slots)
+    return GluingScheme([(letter, rng.choice((1, -1))) for letter in slots])
 
 
 class UnionFind:

@@ -34,11 +34,11 @@ from arfbrown.surface import (
     nonorientable_scheme,
     normalize,
     orientable_scheme,
-    random_scheme,
 )
 from arfbrown.tqft import consistency_report
 from clifford_checks import assert_clifford_relations, int_matrix
 from gauss_oracle import block_sum
+from surface_oracle import random_scheme
 
 
 class _Budget:

@@ -1,8 +1,11 @@
-"""The public names: every module's ``__all__`` and the package's."""
+"""The public names: every module's ``__all__`` and the package's, and
+the names no runtime module may import."""
 
+import ast
 import importlib
 import pkgutil
 from collections import Counter
+from pathlib import Path
 
 import arfbrown
 
@@ -32,3 +35,18 @@ def test_package_names_are_their_home_objects():
     for name in arfbrown.__all__:
         assert name in home, name
         assert getattr(arfbrown, name) is getattr(home[name], name), name
+
+
+# exact elimination that only the tests' oracles use; exactla keeps them
+# because the benchmark tracer names them
+ORACLE_ONLY = {"solve_in_span", "fraction_rref", "modular_nullity"}
+
+
+def test_no_runtime_module_imports_the_oracle_eliminations():
+    offenders = []
+    for path in sorted(Path(arfbrown.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = {alias.name.rpartition(".")[2] for alias in node.names}
+                offenders += [(path.name, n) for n in sorted(names & ORACLE_ONLY)]
+    assert offenders == []

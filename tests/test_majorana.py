@@ -11,7 +11,7 @@ import pytest
 from arfbrown import majorana
 from arfbrown.clifford import Signature, SignedPerm, irreducible_supermodule
 from arfbrown.errors import CapExceeded
-from arfbrown.exactla import MOD_PRIMES, modular_nullity
+from arfbrown.exactla import MOD_PRIMES, modular_nullity, solve_in_span
 from arfbrown.majorana import (
     ChainSetup,
     doubled_hamiltonian,
@@ -247,7 +247,7 @@ def test_interval_ground_space_exhaustive():
 
 
 def test_interval_bimodule_check_exhaustive_small():
-    for e in range(1, 4):
+    for e in range(1, 9):
         for bits in product((0, 1), repeat=e):
             for orientation in (1, -1):
                 rep = interval_bimodule_check(
@@ -262,6 +262,56 @@ def test_interval_bimodule_check_exhaustive_small():
                 assert rep.generators_anticommute
                 assert rep.commutant_dimension == 1
                 assert rep.irreducible
+
+
+def _boundary_operators(setup):
+    """c at the vertex that heads no edge and d at the one that tails none."""
+    n = setup.vertex_count
+    (c_vertex,) = set(range(n)) - {head for _, head, _ in setup.edges}
+    (d_vertex,) = set(range(n)) - {tail for tail, _, _ in setup.edges}
+    c, d = majorana._majoranas(n)
+    return c[c_vertex], d[d_vertex]
+
+
+def _restrict_by_elimination(op, vectors):
+    """The matrix of op on span(vectors) by Fraction elimination over all
+    2^n rows, one column at a time."""
+    basis = [vec.tolist() for vec in vectors]
+    cols = []
+    for vec in vectors:
+        coeffs = solve_in_span(basis, op.apply(vec).tolist())
+        assert coeffs is not None
+        cols.append(coeffs)
+    return [list(row) for row in zip(*cols)]
+
+
+def test_restriction_matches_elimination_oracle():
+    count = 0
+    for e in range(1, 7):
+        for bits in product((0, 1), repeat=e):
+            for orientation in (1, -1):
+                setup = ChainSetup.interval(bits, orientation)
+                _, vectors = majorana._ground_data(setup, majorana.DEFAULT_VERTEX_CAP)
+                assert list(vectors) == [0, 1]
+                for op in _boundary_operators(setup):
+                    got = majorana._restrict(op, vectors)
+                    assert got.dtype == np.int64 and got.shape == (2, 2)
+                    want = _restrict_by_elimination(op, list(vectors.values()))
+                    assert got.tolist() == want, setup
+                    count += 1
+    assert count == 2 * 2 * (2**7 - 2)
+
+
+def test_restriction_rejects_an_operator_that_moves_the_ground_space():
+    # an interior vertex heads one edge, and its c_v anticommutes with that
+    # edge's term +-c_v d_tail, so it maps the ground space onto excited states
+    for orientation in (1, -1):
+        setup = ChainSetup.interval((0, 1, 1), orientation)
+        _, vectors = majorana._ground_data(setup, majorana.DEFAULT_VERTEX_CAP)
+        c, _ = majorana._majoranas(setup.vertex_count)
+        for v in (1, 2):
+            with pytest.raises(ArithmeticError, match="ground space"):
+                majorana._restrict(c[v], vectors)
 
 
 def test_bimodule_check_rejects_circles():

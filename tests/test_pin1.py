@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from arfbrown.majorana import ChainSetup
 from arfbrown.pin1 import (
     Circle,
     CircleClass,
@@ -30,6 +31,17 @@ def test_vertex_counts():
     assert Circle((0, 1, 0)).vertex_count == 3
     assert Interval((0, 1, 0)).vertex_count == 4
     assert Circle((1,)).edge_count == 1
+
+
+def test_circle_and_interval_with_equal_bits_differ():
+    for bits in [(0,), (1, 0), (0, 1, 1)]:
+        assert Circle(bits) != Interval(bits)
+        assert Interval(bits) != Circle(bits)
+        assert ChainSetup.circle(bits) != ChainSetup.interval(bits)
+        assert Circle(bits) == Circle(list(bits))
+        assert hash(Circle(bits)) == hash(("Circle", bits))
+        assert hash(Interval(bits)) == hash(("Interval", bits))
+        assert repr(Interval(bits)) == f"Interval({list(bits)})"
 
 
 def test_classify_circle_by_bit_sum():

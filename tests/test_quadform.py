@@ -27,11 +27,11 @@ from arfbrown.surface import (
     intersection_form,
     nonorientable_scheme,
     orientable_scheme,
-    random_scheme,
     surface_form,
 )
 from arfbrown.tqft import TheoryClass, partition_function
 from gauss_oracle import block_sum, enumerated_gauss_sum, root_of_gauss_sum
+from surface_oracle import random_scheme
 
 
 def _form(text: str):

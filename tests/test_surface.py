@@ -14,9 +14,8 @@ from arfbrown.surface import (
     nonorientable_scheme,
     normalize,
     orientable_scheme,
-    random_scheme,
 )
-from surface_oracle import assert_matches_oracle
+from surface_oracle import assert_matches_oracle, random_scheme
 
 
 def test_sphere_word():
