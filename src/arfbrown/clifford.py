@@ -2,20 +2,21 @@
 
 Cl(S, o) is the algebra on generators S with s^2 = o(s) in {+1, -1} and
 st = -ts for distinct s, t.  Elements are stored on the subset basis in a
-canonical sorted order, so equality is coefficient comparison.  The module
-also provides graded tensor products, the grading operator, 2x2 supermatrix
-representations of the (+1, -1) generator pair on C^{1|1}, the signed
-permutations through which that pair acts on (C^{1|1})^{(x) n} (the one
-home of the Koszul sign rule), and the 2^n-dimensional irreducible
-supermodule of a signature with n positive and n negative generators.
+canonical sorted order, so equality is coefficient comparison.  One word
+product (`_word_product`) holds the sign rule: the sign of the stable
+sorting permutation times the squares of equal neighbours.  It multiplies
+elements, and through `evaluate_on_empty` it gives the action of a word of
+C^{1|1} generator pairs on (C^{1|1})^{(x) n}, which builds the irreducible
+supermodule of a signature with n positive and n negative generators and
+every result of the Majorana chain.  The module also provides graded tensor
+products, the grading operator and 2x2 supermatrix representations of the
+(+1, -1) generator pair on C^{1|1}.  Nothing here needs numpy.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Sequence
-
-import numpy as np
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 __all__ = [
     "GaussianRational",
@@ -27,7 +28,7 @@ __all__ = [
     "grading_operator_action",
     "cl11_rep",
     "irreducible_supermodule",
-    "SignedPerm",
+    "evaluate_on_empty",
     "SignatureMismatch",
     "LabelCollision",
     "UnpairedSignature",
@@ -396,33 +397,48 @@ class CliffordElement:
         return "CliffordElement(" + " + ".join(parts) + ")"
 
 
-def _merge_key(
-    signs: Sequence[int], left: tuple[int, ...], right: tuple[int, ...]
+def _word_product(
+    word: Sequence[int], square: Callable[[int], int]
 ) -> tuple[tuple[int, ...], int]:
-    """Sort the concatenation, tracking the transposition sign and squares.
+    """The product g_{w0} g_{w1} ... of a generator word, as (sorted key, sign).
 
-    Both inputs are strictly increasing, so any generator occurs at most
-    twice; after sorting, equal indices are adjacent and each pair collapses
-    to the generator's square.
+    Distinct generators anticommute and equal ones never pass each other in
+    a stable sort, so the sign is that of the stable sorting permutation,
+    (-1)^(length - cycles), times square(g) for each equal neighbour pair.
     """
-    arr = list(left) + list(right)
-    sign = 1
-    for i in range(1, len(arr)):
-        j = i
-        while j > 0 and arr[j - 1] > arr[j]:
-            arr[j - 1], arr[j] = arr[j], arr[j - 1]
+    order = sorted(range(len(word)), key=word.__getitem__)
+    sign = -1 if len(word) & 1 else 1
+    seen = bytearray(len(word))
+    for start in range(len(word)):
+        if not seen[start]:
             sign = -sign
-            j -= 1
-    out: list[int] = []
-    k = 0
-    while k < len(arr):
-        if k + 1 < len(arr) and arr[k] == arr[k + 1]:
-            sign *= signs[arr[k]]
-            k += 2
+            j = start
+            while not seen[j]:
+                seen[j] = 1
+                j = order[j]
+    key: list[int] = []
+    for g in (word[i] for i in order):
+        if key and key[-1] == g:
+            key.pop()
+            sign *= square(g)
         else:
-            out.append(arr[k])
-            k += 1
-    return tuple(out), sign
+            key.append(g)
+    return tuple(key), sign
+
+
+def evaluate_on_empty(word: Sequence[int]) -> tuple[int, int]:
+    """(sign, subset mask) of a word applied to the empty subset of
+    (C^{1|1})^{(x) n}, with 2v and 2v+1 factor v's cl11_rep pair.
+
+    Sorted, the factors act from the highest down, each on an even factor
+    with only even factors before it, so no Koszul sign arises: a lone
+    generator adds v, and the pair (+1)(-1) fixes the empty subset.
+    """
+    key, sign = _word_product(word, lambda g: -1 if g & 1 else 1)
+    mask = 0
+    for g in key:
+        mask ^= 1 << (g >> 1)
+    return sign, mask
 
 
 def multiply(a: CliffordElement, b: CliffordElement) -> CliffordElement:
@@ -430,11 +446,11 @@ def multiply(a: CliffordElement, b: CliffordElement) -> CliffordElement:
     if a.signature != b.signature:
         raise SignatureMismatch("cannot multiply elements of different algebras")
     sig = a.signature
-    signs = [sig.sign(l) for l in sig.labels]
+    square = [sig.sign(l) for l in sig.labels].__getitem__
     coeffs: dict[tuple[int, ...], GaussianRational] = {}
     for ka, va in a._coeffs.items():
         for kb, vb in b._coeffs.items():
-            key, sgn = _merge_key(signs, ka, kb)
+            key, sgn = _word_product(ka + kb, square)
             term = va * vb * sgn
             total = coeffs.get(key, GaussianRational.zero()) + term
             if total.is_zero():
@@ -638,74 +654,6 @@ def cl11_rep() -> tuple[SuperMatrix, SuperMatrix]:
     return plus, minus
 
 
-class SignedPerm:
-    """A signed permutation of the subset basis of (C^{1|1})^{(x) n}.
-
-    Basis vector m (bit j set means factor j is in its odd state) goes to
-    sign[m] * e_{target[m]}.  Both are int64 arrays of length 2^n, so
-    composing, applying and comparing cost O(2^n).
-    """
-
-    __slots__ = ("target", "sign")
-
-    def __init__(self, target: np.ndarray, sign: np.ndarray):
-        self.target = target
-        self.sign = sign
-
-    @classmethod
-    def identity(cls, dim: int) -> SignedPerm:
-        return cls(np.arange(dim, dtype=np.int64), np.ones(dim, dtype=np.int64))
-
-    @classmethod
-    def odd_generator(cls, n: int, v: int, negative: bool) -> SignedPerm:
-        """Factor v's +1 (or -1) generator of the cl11_rep pair.
-
-        It flips bit v and picks up the Koszul sign (-1)^{number of odd
-        factors before v}; the -1 generator additionally negates the
-        lowering (odd -> even) transitions.
-        """
-        masks = np.arange(1 << n, dtype=np.int64)
-        koszul = np.zeros_like(masks)
-        for j in range(v):
-            koszul ^= (masks >> j) & 1
-        sign = 1 - 2 * koszul
-        if negative:
-            sign[(masks >> v) & 1 == 1] *= -1
-        return cls(masks ^ (1 << v), sign)
-
-    def after(self, first: SignedPerm) -> SignedPerm:
-        """self composed after first (apply first, then self)."""
-        return SignedPerm(
-            self.target[first.target], first.sign * self.sign[first.target]
-        )
-
-    def __neg__(self) -> SignedPerm:
-        return SignedPerm(self.target, -self.sign)
-
-    def apply(self, vec: np.ndarray) -> np.ndarray:
-        """The image of an integer vector."""
-        out = np.empty_like(vec)
-        out[self.target] = self.sign * vec
-        return out
-
-    def trace(self) -> int:
-        fixed = self.target == np.arange(len(self.target))
-        return int(self.sign[fixed].sum())
-
-    def to_matrix(self) -> np.ndarray:
-        dim = len(self.target)
-        out = np.zeros((dim, dim), dtype=np.int64)
-        out[self.target, np.arange(dim)] = self.sign
-        return out
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, SignedPerm)
-            and np.array_equal(self.target, other.target)
-            and np.array_equal(self.sign, other.sign)
-        )
-
-
 def irreducible_supermodule(sig: Signature) -> list[SuperMatrix]:
     """Action matrices of Cl(S, o) on its 2^n-dimensional supermodule.
 
@@ -727,12 +675,18 @@ def irreducible_supermodule(sig: Signature) -> list[SuperMatrix]:
     if n == 0:
         return []
     order = sorted(range(1 << n), key=lambda m: (m.bit_count() & 1, m))
+    position = {m: i for i, m in enumerate(order)}
+    # basis vector m is the +1 generators of m, in increasing order, on the
+    # empty subset
+    columns = [[2 * v for v in range(n) if m >> v & 1] for m in order]
     half = 1 << (n - 1)
     out = []
     for label in sig.labels:
         negative = sig.sign(label) == -1
-        k = (negatives if negative else positives).index(label)
-        mat = SignedPerm.odd_generator(n, k, negative).to_matrix()
-        rows = mat[np.ix_(order, order)].tolist()
+        g = 2 * (negatives if negative else positives).index(label) + negative
+        rows = [[0] * len(order) for _ in order]
+        for j, column in enumerate(columns):
+            sign, mask = evaluate_on_empty([g, *column])
+            rows[position[mask]][j] = sign
         out.append(SuperMatrix(half, half, rows, "odd"))
     return out

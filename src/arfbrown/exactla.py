@@ -2,20 +2,22 @@
 
 Integer matrices only.  The one runtime caller is `majorana`, which takes
 `rational_nullity` of the 8x4 commutant system of the interval's boundary
-module.  The other functions are the tests' oracles: `modular_nullity`
-scans chain spectra over GF(p) (ranks over a prime field never exceed the
-rank over Q, so modular nullities that sum to the dimension are exact), and
-`solve_in_span` restricts operators to the ground space by Fraction
-elimination.  They stay here, not in the tests, only because the
-benchmark's tracer names them.
+module, as nested int lists.  The other functions are the tests' oracles:
+`modular_nullity` scans chain spectra over GF(p) (ranks over a prime field
+never exceed the rank over Q, so modular nullities that sum to the
+dimension are exact), and `solve_in_span` restricts operators to the
+ground space by Fraction elimination.  They stay here, not in the tests,
+only because the benchmark's tracer names them.  numpy is imported only
+inside `modular_nullity`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "MOD_PRIMES",
@@ -32,6 +34,8 @@ MOD_PRIMES = (2147483647, 2147483629, 2147483587)
 
 def modular_nullity(mat: np.ndarray, p: int) -> int:
     """Kernel dimension of an integer matrix over GF(p)."""
+    import numpy as np
+
     a = np.array(mat, dtype=np.int64) % p
     nrows, ncols = a.shape
     r = 0
@@ -86,9 +90,9 @@ def fraction_rref(
     return work[:r], pivots
 
 
-def rational_nullity(mat: np.ndarray) -> int:
-    """Exact kernel dimension over Q of an integer matrix."""
-    rows = [[int(v) for v in row] for row in np.asarray(mat)]
+def rational_nullity(mat: Sequence[Sequence[int]]) -> int:
+    """Exact kernel dimension over Q of an integer matrix, given as rows."""
+    rows = [[int(v) for v in row] for row in mat]
     ncols = len(rows[0]) if rows else 0
     _, pivots = fraction_rref(rows)
     return ncols - len(pivots)

@@ -1,8 +1,8 @@
 """Exact linear algebra over the two-element field.
 
 Vectors are stored as machine-word bit masks; all semantics are componentwise
-XOR and dot products mod 2.  Elimination breaks pivot ties by lowest column
-index so reduced forms, ranks, kernels, and symplectic bases are deterministic.
+XOR and dot products mod 2.  Symplectic bases pair each vector with its
+lowest-index partner, so they are deterministic.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ __all__ = [
     "F2Vector",
     "F2Matrix",
     "rank",
-    "kernel_basis",
     "symplectic_basis",
     "NotAlternating",
     "Degenerate",
@@ -203,55 +202,18 @@ class F2Matrix:
         return f"F2Matrix({self.to_lists()})"
 
 
-def _echelon(masks: list[int], ncols: int) -> tuple[list[int], list[int]]:
-    """Reduced row echelon form of bitmask rows.
-
-    Returns (nonzero reduced rows, pivot column per row).  Columns are
-    processed left to right, which realizes the lowest-column tie break.
-    """
-    rows = [m for m in masks]
-    pivots: list[int] = []
-    r = 0
-    for col in range(ncols):
-        bit = 1 << col
-        pivot_row = None
-        for i in range(r, len(rows)):
-            if rows[i] & bit:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        for i in range(len(rows)):
-            if i != r and rows[i] & bit:
-                rows[i] ^= rows[r]
-        pivots.append(col)
-        r += 1
-        if r == len(rows):
-            break
-    return rows[:r], pivots
-
-
 def rank(m: F2Matrix) -> int:
     """GF(2) rank, computed by Gaussian elimination."""
-    reduced, _ = _echelon([row.mask for row in m.rows], m.ncols)
-    return len(reduced)
-
-
-def kernel_basis(m: F2Matrix) -> list[F2Vector]:
-    """A deterministic basis of the right kernel {v : m v = 0}."""
-    reduced, pivots = _echelon([row.mask for row in m.rows], m.ncols)
-    pivot_set = set(pivots)
-    basis: list[F2Vector] = []
-    for free in range(m.ncols):
-        if free in pivot_set:
-            continue
-        mask = 1 << free
-        for row, pcol in zip(reduced, pivots):
-            if row & (1 << free):
-                mask |= 1 << pcol
-        basis.append(F2Vector.from_mask(mask, m.ncols))
-    return basis
+    pivots: dict[int, int] = {}  # lowest set bit -> reduced row
+    for row in m.rows:
+        mask = row.mask
+        while mask:
+            low = mask & -mask
+            if low not in pivots:
+                pivots[low] = mask
+                break
+            mask ^= pivots[low]  # clears bit low, touches only higher bits
+    return len(pivots)
 
 
 def symplectic_basis(gram: F2Matrix) -> list[tuple[F2Vector, F2Vector]]:

@@ -1,37 +1,35 @@
 """The time-reversal-invariant Majorana chain, exactly.
 
 The state space on n vertices is spanned by the subsets of the vertex
-set (dimension 2^n, graded by subset size mod 2).  The Majorana
-operators c_v and d_v are the +1 and -1 odd generators of the v-th
-C^{1|1} factor, signed permutations of the subsets
-(`clifford.SignedPerm.odd_generator`).  The Hamiltonian is
+set (dimension 2^n, graded by subset size mod 2).  c_v and d_v are the +1
+and -1 generators of the v-th C^{1|1} factor, numbered 2v and 2v+1 in the
+words of `clifford.evaluate_on_empty`.  The Hamiltonian is
 
     H = 1/2 sum over edges of T_e,    T_e = (-1)^{t(e)} c_head d_tail
 
-with boundary(e) = head - tail in the chosen orientation.  The T_e touch
-disjoint Majoranas, so they commute, and each squares to 1.  A product
-of T_e over a set of edges flips the vertices of odd degree in that set,
-so it fixes no basis vector unless the set is empty or every edge of a
-circle.  When that one diagonal product is traceless too, every joint
-eigenspace of the E edge terms has dimension 2^{n-E}: 2H has eigenvalues
--E + 2j with multiplicity C(E, j) 2^{n-E}, and the ground space is the
-joint -1 eigenspace, the image of prod (1 - T_e).  Each of these facts is
-checked exactly on every call, in O(E^2 2^n) integer operations.
+with boundary(e) = head - tail in the chosen orientation.  Each call checks
+that no generator occurs in two edge terms.  Then the T_e square to 1 and
+commute, and every nonempty product of them is a non-scalar, hence
+traceless, monomial: 2H has eigenvalues -E + 2j with multiplicity
+C(E, j) 2^{n-E}, and the ground space is the image of P = prod (1 - T_e).
+The ground parity and the boundary action are word evaluations, with no
+2^n vector.  Only the dense matrices need numpy, through `_dense`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
-from typing import Iterable, Mapping, Sequence
+from math import prod
+from typing import TYPE_CHECKING, Iterable, Sequence
 
-import numpy as np
-
-from .clifford import SignedPerm
+from .clifford import evaluate_on_empty
 from .errors import CapExceeded
 from .exactla import rational_nullity
 from .pin1 import Circle, HasBoundary, Interval
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "ChainSetup",
@@ -127,51 +125,35 @@ class ChainSetup:
         return f"ChainSetup({kind} {list(self.edge_bits)}, orientation {sign})"
 
 
-def _majoranas(
-    n: int,
-) -> tuple[dict[int, SignedPerm], dict[int, SignedPerm]]:
-    c = {v: SignedPerm.odd_generator(n, v, negative=False) for v in range(n)}
-    d = {v: SignedPerm.odd_generator(n, v, negative=True) for v in range(n)}
-    return c, d
-
-
-def _edge_terms(
-    setup: ChainSetup,
-    c: Mapping[int, SignedPerm],
-    d: Mapping[int, SignedPerm],
-) -> list[SignedPerm]:
-    """T_e = (-1)^{t(e)} c_head d_tail for every edge, in edge order."""
-    terms = []
-    for tail, head, bit in setup.edges:
-        term = c[head].after(d[tail])
-        terms.append(-term if bit else term)
-    return terms
-
-
-def _dense_sum(terms: Iterable[SignedPerm], dim: int) -> np.ndarray:
-    out = np.zeros((dim, dim), dtype=np.int64)
-    cols = np.arange(dim)
-    for term in terms:
-        out[term.target, cols] += term.sign
-    return out
+def _edge_words(setup: ChainSetup) -> list[tuple[int, list[int]]]:
+    """(sign, word) of T_e = (-1)^{t(e)} c_head d_tail, in edge order;
+    ArithmeticError if two edge terms share a generator."""
+    words = [
+        (-1 if bit else 1, [2 * head, 2 * tail + 1])
+        for tail, head, bit in setup.edges
+    ]
+    used = [g for _, word in words for g in word]
+    if len(set(used)) != len(used):
+        raise ArithmeticError("two edge terms share a Majorana generator")
+    return words
 
 
 def majorana_operators(
     setup: ChainSetup,
 ) -> dict[int, tuple[np.ndarray, np.ndarray]]:
     """c_v and d_v for every vertex, as integer matrices on the subsets."""
-    c, d = _majoranas(setup.vertex_count)
+    from . import _dense
+
+    c, d = _dense.majoranas(setup.vertex_count)
     return {v: (c[v].to_matrix(), d[v].to_matrix()) for v in c}
 
 
 def doubled_hamiltonian(setup: ChainSetup) -> np.ndarray:
     """2H as an exact integer matrix, the sum of the edge terms."""
+    from . import _dense
+
     n = setup.vertex_count
-    return _dense_sum(_edge_terms(setup, *_majoranas(n)), 1 << n)
-
-
-def _support_parities(vec: np.ndarray) -> set[int]:
-    return {m.bit_count() & 1 for m in np.flatnonzero(vec).tolist()}
+    return _dense.dense_sum(_dense.edge_terms(setup, *_dense.majoranas(n)), 1 << n)
 
 
 @dataclass(frozen=True)
@@ -182,88 +164,38 @@ class GroundStateReport:
     spectrum: tuple[tuple[Fraction, int], ...]
 
 
-_PARITY = {(0,): "even", (1,): "odd", (0, 1): "mixed"}
-
-
-def _ground_data(
-    setup: ChainSetup, cap: int
-) -> tuple[GroundStateReport, dict[int, np.ndarray]]:
-    """The spectral report plus exact integer ground vectors, keyed by parity.
-
-    Every T_e flips two vertices (or none, on a one-vertex circle), so it
-    preserves parity, and the flips connect all subsets of one parity.
-    prod (1 - T_e) therefore maps the empty subset and the subset {0} onto
-    vectors spanning the even and the odd part of the ground space; a
-    part may be zero, and then its key is absent.
-    """
-    n = setup.vertex_count
-    if n > cap:
-        raise CapExceeded(f"{n} vertices exceed the configured cap of {cap}")
-    dim = 1 << n
-    terms = _edge_terms(setup, *_majoranas(n))
-    edge_count = len(terms)
-    ident = SignedPerm.identity(dim)
-    for i, term in enumerate(terms):
-        if term.after(term) != ident:
-            raise ArithmeticError("an edge term does not square to 1")
-        if any(term.after(u) != u.after(term) for u in terms[i + 1 :]):
-            raise ArithmeticError("two edge terms do not commute")
-    if setup.is_circle:
-        product = ident
-        for term in terms:
-            product = term.after(product)
-        if product.trace() != 0:
-            raise ArithmeticError("the product of all edge terms has a trace")
-
-    vectors: dict[int, np.ndarray] = {}
-    for probe in (0, 1):
-        vec = np.zeros(dim, dtype=np.int64)
-        vec[probe] = 1
-        for term in terms:
-            vec = vec - term.apply(vec)
-        if not vec.any():
-            continue
-        if any(np.any(term.apply(vec) != -vec) for term in terms):
-            raise ArithmeticError("a ground vector is not in the -1 eigenspace")
-        if _support_parities(vec) != {probe}:
-            raise ArithmeticError("ground vector is not grading-homogeneous")
-        vectors[probe] = vec
-    ground_dim = 1 << (n - edge_count)
-    if len(vectors) != ground_dim:
-        raise ArithmeticError(
-            f"found {len(vectors)} ground vectors, expected {ground_dim}"
-        )
-
-    spectrum = tuple(
-        (Fraction(2 * j - edge_count, 2), comb(edge_count, j) * ground_dim)
-        for j in range(edge_count + 1)
-    )
-    report = GroundStateReport(
-        min_eigenvalue=Fraction(-edge_count, 2),
-        ground_dimension=ground_dim,
-        ground_parity=_PARITY[tuple(vectors)],
-        spectrum=spectrum,
-    )
-    return report, vectors
-
-
 def ground_states(
     setup: ChainSetup, cap: int = DEFAULT_VERTEX_CAP
 ) -> GroundStateReport:
     """Full spectrum of H with exact multiplicities, plus ground data."""
-    report, _ = _ground_data(setup, cap)
-    return report
-
-
-def _epsilon(
-    c: Mapping[int, SignedPerm], d: Mapping[int, SignedPerm], order: Iterable[int]
-) -> SignedPerm:
-    """The product of d_v c_v over the vertices in order.  The factors
-    commute (they touch disjoint generator pairs), so the order is free."""
-    acc = SignedPerm.identity(c[0].target.size)
-    for v in order:
-        acc = d[v].after(c[v]).after(acc)
-    return acc
+    n = setup.vertex_count
+    if n > cap:
+        raise CapExceeded(f"{n} vertices exceed the configured cap of {cap}")
+    words = _edge_words(setup)
+    edge_count = len(words)
+    if setup.is_circle:
+        # the product of all T_e uses every generator once, so it is
+        # +-(-1)^F, and it is (-1)^E on the ground line
+        sign, mask = evaluate_on_empty([g for _, word in words for g in word])
+        if mask:
+            raise ArithmeticError("the product of all T_e moves the empty subset")
+        sign *= prod(s for s, _ in words) * (-1) ** edge_count
+        parity = "odd" if sign == -1 else "even"
+    else:
+        # c at the vertex that heads no edge is odd and commutes with every
+        # T_e, so it swaps the even and the odd ground line
+        parity = "mixed"
+    spectrum = []
+    mult = 1 << (n - edge_count)
+    for j in range(edge_count + 1):
+        spectrum.append((Fraction(2 * j - edge_count, 2), mult))
+        mult = mult * (edge_count - j) // (j + 1)
+    return GroundStateReport(
+        min_eigenvalue=Fraction(-edge_count, 2),
+        ground_dimension=spectrum[0][1],
+        ground_parity=parity,
+        spectrum=tuple(spectrum),
+    )
 
 
 def epsilon_operator(
@@ -275,12 +207,14 @@ def epsilon_operator(
     any vertex order gives the same matrix; the result acts on a degree-k
     subset by (-1)^{n-k}.
     """
+    from . import _dense
+
     if not setup.is_circle:
         raise HasBoundary("the epsilon operator is defined on circles")
     n = setup.vertex_count
     if vertex_order is None:
         vertex_order = range(n)
-    return _epsilon(*_majoranas(n), vertex_order).to_matrix()
+    return _dense.epsilon(*_dense.majoranas(n), vertex_order).to_matrix()
 
 
 @dataclass(frozen=True, eq=False)
@@ -307,20 +241,21 @@ def reference_module(setup: ChainSetup) -> ReferenceModule:
     so each c_v and d_v acts on a single factor.  2H is diagonal on A and
     epsilon acts on degree-k vectors by (-1)^{k-1}.
     """
+    from . import _dense
+
     if not setup.is_circle:
         raise HasBoundary("the reference module is built over a circle")
     n = setup.vertex_count
-    c: dict[int, SignedPerm] = {}
-    d: dict[int, SignedPerm] = {}
+    factor_c, factor_d = _dense.majoranas(n)
+    c, d = {}, {}
     for idx, (tail, head, _bit) in enumerate(setup.edges):
-        c[head] = SignedPerm.odd_generator(n, idx, negative=False)
-        d[tail] = SignedPerm.odd_generator(n, idx, negative=True)
+        c[head], d[tail] = factor_c[idx], factor_d[idx]
     return ReferenceModule(
         vertex_count=n,
         c={v: op.to_matrix() for v, op in c.items()},
         d={v: op.to_matrix() for v, op in d.items()},
-        epsilon=_epsilon(c, d, range(n)).to_matrix(),
-        doubled_hamiltonian=_dense_sum(_edge_terms(setup, c, d), 1 << n),
+        epsilon=_dense.epsilon(c, d, range(n)).to_matrix(),
+        doubled_hamiltonian=_dense.dense_sum(_dense.edge_terms(setup, c, d), 1 << n),
     )
 
 
@@ -337,33 +272,59 @@ class IntervalReport:
     passed: bool
 
 
-def _restrict(op: SignedPerm, vectors: Mapping[int, np.ndarray]) -> np.ndarray:
-    """The 2x2 matrix of an odd operator on the ground space, in the basis
-    (even, odd) of `vectors`.
+# the words of e_0 (the empty subset) and e_1 (the subset {0}); P maps them
+# onto the even and the odd ground line of an interval
+_PROBES = ((), (0,))
 
-    An odd op that preserves the ground space maps each ground vector onto
-    a multiple of the vector of the other parity.  The multiple is read at
-    one nonzero entry of that vector and certified by an exact comparison
-    over the whole vector; ArithmeticError if it fails.
+
+def _restrict(
+    words: list[tuple[int, list[int]]], word: Sequence[int]
+) -> list[list[int]]:
+    """The 2x2 matrix of an odd monomial on an interval's ground space, in
+    the basis (P e_0, P e_1).
+
+    A word that shares no generator with an edge term commutes with P and
+    maps P e_probe to sigma P e_m.  On a path one edge set S flips the other
+    probe's subset onto m: edge i (joining vertices i, i+1) is in S iff an
+    odd number of flipped vertices lie in 0..i.  Then e_m = rho T_S e_other
+    and P T_S = (-1)^|S| P, so the entry is sigma rho (-1)^|S|.
     """
-    out = np.zeros((2, 2), dtype=np.int64)
-    for parity, vec in vectors.items():
-        image, target = op.apply(vec), vectors[1 - parity]
-        i = int(np.flatnonzero(target)[0])
-        k, rem = divmod(int(image[i]), int(target[i]))
-        if rem or not np.array_equal(image, k * target):
-            raise ArithmeticError("operator does not preserve the ground space")
-        out[1 - parity, parity] = k
+    if {g for _, w in words for g in w}.intersection(word):
+        raise ArithmeticError(
+            "the operator shares a generator with an edge term,"
+            " so it does not preserve the ground space"
+        )
+    out = [[0, 0], [0, 0]]
+    for parity, probe in enumerate(_PROBES):
+        sign, m = evaluate_on_empty([*word, *probe])
+        other = 1 - parity  # the other probe's subset mask
+        flipped, inside, path = m ^ other, 0, []
+        for i, (s, w) in enumerate(words):
+            inside ^= (flipped >> i) & 1
+            if inside:
+                path += w
+                sign *= -s
+        rho, reached = evaluate_on_empty([*path, *_PROBES[other]])
+        if reached != m:
+            raise ArithmeticError(
+                "no edge set carries the other ground line onto the image"
+            )
+        out[other][parity] = sign * rho
     return out
 
 
-def _commutant_dimension(gens: list[np.ndarray]) -> int:
+def _mul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
+    return [[a[i][0] * b[0][j] + a[i][1] * b[1][j] for j in (0, 1)] for i in (0, 1)]
+
+
+def _commutant_dimension(gens: list[list[list[int]]]) -> int:
     """dim of {M : MG = GM for all G}.  With row-major vec,
     vec(GM - MG) = (G (x) I - I (x) G^T) vec(M); the system is rational, so
     the dimension over any extension field equals the rational nullity."""
-    ident = np.eye(len(gens[0]), dtype=np.int64)
+    pairs = [(0, 0), (0, 1), (1, 0), (1, 1)]
     return rational_nullity(
-        np.vstack([np.kron(g, ident) - np.kron(ident, g.T) for g in gens])
+        [[g[i][k] * (j == l) - (i == k) * g[l][j] for k, l in pairs]
+         for g in gens for i, j in pairs]
     )
 
 
@@ -374,49 +335,36 @@ def interval_bimodule_check(
     irreducibility of the induced module on the 2-dimensional ground space.
 
     The boundary generators are c at the vertex that heads no edge and d at
-    the vertex that tails none; they commute with every edge term, hence
-    with H, so they act on the ground space, and that action should square
-    to +1 and -1, anticommute, and generate a module with scalar commutant.
+    the vertex that tails none; they share no generator with any edge term
+    (`_restrict` raises otherwise), so they commute with H and act on the
+    ground space, and that action should square to +1 and -1, anticommute,
+    and generate a module with scalar commutant.
     """
     if setup.is_circle:
         raise ValueError("the bimodule check applies to intervals")
+    report = ground_states(setup, cap)
+    words = _edge_words(setup)
     n = setup.vertex_count
-    report, vectors = _ground_data(setup, cap)
-    heads = {head for _, head, _ in setup.edges}
-    tails = {tail for tail, _, _ in setup.edges}
-    (c_vertex,) = set(range(n)) - heads
-    (d_vertex,) = set(range(n)) - tails
-    c, d = _majoranas(n)
-    c_op, d_op = c[c_vertex], d[d_vertex]
-    terms = _edge_terms(setup, c, d)
-    commutes = all(
-        op.after(term) == term.after(op) for op in (c_op, d_op) for term in terms
-    )
-
-    c_r = _restrict(c_op, vectors)
-    d_r = _restrict(d_op, vectors)
-    ident = np.eye(2, dtype=np.int64)
-    plus_sq = np.array_equal(c_r @ c_r, ident)
-    minus_sq = np.array_equal(d_r @ d_r, -ident)
-    anti = np.array_equal(c_r @ d_r, -(d_r @ c_r))
+    (c_vertex,) = set(range(n)) - {w[0] >> 1 for _, w in words}
+    (d_vertex,) = set(range(n)) - {w[1] >> 1 for _, w in words}
+    c_r = _restrict(words, [2 * c_vertex])
+    d_r = _restrict(words, [2 * d_vertex + 1])
+    plus_sq = _mul(c_r, c_r) == [[1, 0], [0, 1]]
+    minus_sq = _mul(d_r, d_r) == [[-1, 0], [0, -1]]
+    anti = _mul(c_r, d_r) == [[-v for v in row] for row in _mul(d_r, c_r)]
     commutant_dim = _commutant_dimension([c_r, d_r])
-    irreducible = len(vectors) == 2 and commutant_dim == 1
-    passed = bool(
-        report.ground_dimension == 2
-        and commutes
-        and plus_sq
-        and minus_sq
-        and anti
-        and irreducible
-    )
+    irreducible = report.ground_dimension == 2 and commutant_dim == 1
     return IntervalReport(
         ground_dimension=report.ground_dimension,
-        parity_split=(int(0 in vectors), int(1 in vectors)),
-        boundary_commutes=commutes,
+        parity_split=(
+            int(report.ground_parity != "odd"),
+            int(report.ground_parity != "even"),
+        ),
+        boundary_commutes=True,
         plus_squares_to_identity=plus_sq,
         minus_squares_to_minus_identity=minus_sq,
         generators_anticommute=anti,
         commutant_dimension=commutant_dim,
         irreducible=irreducible,
-        passed=passed,
+        passed=plus_sq and minus_sq and anti and irreducible,
     )

@@ -3,7 +3,10 @@ the names no runtime module may import."""
 
 import ast
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -50,3 +53,36 @@ def test_no_runtime_module_imports_the_oracle_eliminations():
                 names = {alias.name.rpartition(".")[2] for alias in node.names}
                 offenders += [(path.name, n) for n in sorted(names & ORACLE_ONLY)]
     assert offenders == []
+
+
+# every command runs in-process on one file, then numpy must still be absent
+_CLI_WITHOUT_NUMPY = """
+import contextlib, io, os, sys, tempfile
+import arfbrown.cli as cli
+with tempfile.TemporaryDirectory() as tmp:
+    closed, chains = os.path.join(tmp, "closed.surf"), os.path.join(tmp, "chains.surf")
+    with open(closed, "w") as handle:
+        handle.write("surface K: a a b b\\nenhance K: a=1 b=3\\ncircle c: 1 0 1\\n")
+    with open(chains, "w") as handle:
+        handle.write("circle c: 1 0 1\\ninterval j: 1 0 orientation=-\\n")
+    commands = [["surface", closed], ["arf-brown", closed], ["majorana", chains],
+                ["tqft", "ab=1", closed], ["selftest"]]
+    for argv in commands:
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main([argv[0], "--format", "structured", *argv[1:]])
+        assert code == 0, (argv, code)
+assert "numpy" not in sys.modules, "the command line imported numpy"
+"""
+
+
+def test_command_line_runs_without_numpy():
+    src = str(Path(arfbrown.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run(
+        [sys.executable, "-c", _CLI_WITHOUT_NUMPY],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr

@@ -13,15 +13,16 @@ from arfbrown.clifford import (
     LabelCollision,
     Signature,
     SignatureMismatch,
-    SignedPerm,
     SuperMatrix,
     UnpairedSignature,
     cl11_rep,
+    evaluate_on_empty,
     graded_tensor,
     grading_operator_action,
     irreducible_supermodule,
     multiply,
 )
+from arfbrown._dense import SignedPerm, majoranas
 from arfbrown.exactla import rational_nullity
 from clifford_checks import assert_clifford_relations, int_matrix
 
@@ -296,15 +297,31 @@ def test_supermodule_is_ungraded_irreducible(n):
 
 def test_signed_perm_agrees_with_its_matrix():
     rng = random.Random(131)
-    gens = [SignedPerm.odd_generator(4, v, neg) for v in range(4) for neg in (0, 1)]
+    c, d = majoranas(4)
+    gens = [*c.values(), *d.values()]
     for _ in range(30):
         a, b = rng.choice(gens), rng.choice(gens)
         ab = a.after(b)
-        vec = np.array([rng.randint(-3, 3) for _ in range(16)], dtype=np.int64)
         assert np.array_equal(ab.to_matrix(), a.to_matrix() @ b.to_matrix())
-        assert np.array_equal((-a).apply(vec), -a.to_matrix() @ vec)
-        assert ab.trace() == np.trace(ab.to_matrix())
-        assert (ab == b.after(a)) == (a is b)
+        assert np.array_equal((-a).to_matrix(), -a.to_matrix())
+    ident = SignedPerm.identity(16).to_matrix()
+    assert np.array_equal(ident, np.eye(16, dtype=np.int64))
+
+
+def test_word_evaluation_matches_the_dense_generators():
+    # random words over the 2n generators of (C^{1|1})^{(x) n}, repeats
+    # included, against the product of the dense matrices on e_0
+    rng = random.Random(137)
+    for n in range(1, 5):
+        c, d = majoranas(n)
+        dense = [m.to_matrix() for v in range(n) for m in (c[v], d[v])]
+        for _ in range(40):
+            word = [rng.randrange(2 * n) for _ in range(rng.randint(0, 6))]
+            column = np.eye(1 << n, dtype=np.int64)[:, 0]
+            for g in reversed(word):
+                column = dense[g] @ column
+            sign, mask = evaluate_on_empty(word)
+            assert column.tolist() == [sign * (m == mask) for m in range(1 << n)]
 
 
 def test_supermodule_rejects_unpaired():

@@ -1,6 +1,7 @@
 """Majorana chain operators, exact spectra, and module structure."""
 
 import random
+import time
 from fractions import Fraction
 from itertools import product
 from math import comb
@@ -8,8 +9,10 @@ from math import comb
 import numpy as np
 import pytest
 
+import chain_oracle
 from arfbrown import majorana
-from arfbrown.clifford import Signature, SignedPerm, irreducible_supermodule
+from arfbrown._dense import majoranas
+from arfbrown.clifford import Signature, irreducible_supermodule
 from arfbrown.errors import CapExceeded
 from arfbrown.exactla import MOD_PRIMES, modular_nullity, solve_in_span
 from arfbrown.majorana import (
@@ -117,27 +120,82 @@ def test_supermodule_is_the_reordered_majorana_operators(n):
         assert rows == mat[np.ix_(order, order)].tolist()
 
 
-_edge_terms = majorana._edge_terms
+def _boundary_words(setup):
+    """c at the vertex that heads no edge and d at the one that tails none,
+    as generator words."""
+    n = setup.vertex_count
+    (c_vertex,) = set(range(n)) - {head for _, head, _ in setup.edges}
+    (d_vertex,) = set(range(n)) - {tail for tail, _, _ in setup.edges}
+    return [2 * c_vertex], [2 * d_vertex + 1]
 
 
-def _flip_one_sign(setup, c, d):
-    terms = _edge_terms(setup, c, d)
-    terms[0].sign[0] *= -1
-    return terms
+def _assert_matches_dense_oracle(setup):
+    report, _ = chain_oracle.ground_data(setup)
+    assert ground_states(setup) == report, setup
+    if setup.is_circle:
+        return
+    interval, c_r, d_r = chain_oracle.bimodule_report(setup)
+    assert interval_bimodule_check(setup) == interval, setup
+    words = majorana._edge_words(setup)
+    c_word, d_word = _boundary_words(setup)
+    assert majorana._restrict(words, c_word) == c_r.tolist(), setup
+    assert majorana._restrict(words, d_word) == d_r.tolist(), setup
+
+
+def test_symbolic_path_matches_dense_oracle():
+    setups = list(_all_setups(8))
+    assert len(setups) == 1528
+    rng = random.Random(103)
+    for n in (9, 9, 9, 9, 10, 10, 10, 10):
+        for kind, edges in (("circle", n), ("interval", n - 1)):
+            bits = [rng.randint(0, 1) for _ in range(edges)]
+            setups.append(getattr(ChainSetup, kind)(bits, rng.choice([1, -1])))
+    for setup in setups:
+        _assert_matches_dense_oracle(setup)
+
+
+@pytest.mark.parametrize("kind", ["circle", "interval"])
+def test_ten_thousand_vertices_in_under_a_second(kind):
+    n = 10**4
+    rng = random.Random(107)
+    bits = [rng.randint(0, 1) for _ in range(n if kind == "circle" else n - 1)]
+    setup = getattr(ChainSetup, kind)(bits)
+    start = time.perf_counter()
+    if kind == "circle":
+        report = ground_states(setup, cap=n)
+    else:
+        assert interval_bimodule_check(setup, cap=n).passed
+        report = ground_states(setup, cap=n)
+    assert time.perf_counter() - start < 1.0
+    assert sum(mult for _, mult in report.spectrum) == 1 << n
+    assert report.ground_parity == (
+        "mixed" if kind == "interval" else "even" if sum(bits) % 2 else "odd"
+    )
+
+
+def _shared_generator(edges):
+    return edges + edges[:1]
+
+
+def _missing_generator(edges):
+    return edges[:-1]
 
 
 @pytest.mark.parametrize(
-    "corrupt, n, message",
+    "corrupt, message",
     [
-        (_flip_one_sign, 3, "square"),
-        (lambda setup, c, d: _edge_terms(setup, c, d) + [c[0]], 3, "commute"),
-        (lambda setup, c, d: [SignedPerm.identity(2)], 1, "trace"),
+        (_shared_generator, "share a Majorana generator"),
+        (_missing_generator, "moves the empty subset"),
     ],
+    ids=["shared-generator", "missing-generator"],
 )
-def test_runtime_certificates_reject_broken_terms(monkeypatch, corrupt, n, message):
-    monkeypatch.setattr(majorana, "_edge_terms", corrupt)
+def test_runtime_certificates_reject_broken_terms(monkeypatch, corrupt, message):
+    edges = ChainSetup.edges
+    monkeypatch.setattr(
+        ChainSetup, "edges", property(lambda setup: corrupt(edges.fget(setup)))
+    )
     with pytest.raises(ArithmeticError, match=message):
-        ground_states(ChainSetup.circle((0,) * n))
+        ground_states(ChainSetup.circle((0, 1, 1)))
 
 
 def test_single_vertex_frozen_matrices():
@@ -264,22 +322,13 @@ def test_interval_bimodule_check_exhaustive_small():
                 assert rep.irreducible
 
 
-def _boundary_operators(setup):
-    """c at the vertex that heads no edge and d at the one that tails none."""
-    n = setup.vertex_count
-    (c_vertex,) = set(range(n)) - {head for _, head, _ in setup.edges}
-    (d_vertex,) = set(range(n)) - {tail for tail, _, _ in setup.edges}
-    c, d = majorana._majoranas(n)
-    return c[c_vertex], d[d_vertex]
-
-
 def _restrict_by_elimination(op, vectors):
     """The matrix of op on span(vectors) by Fraction elimination over all
     2^n rows, one column at a time."""
     basis = [vec.tolist() for vec in vectors]
     cols = []
     for vec in vectors:
-        coeffs = solve_in_span(basis, op.apply(vec).tolist())
+        coeffs = solve_in_span(basis, chain_oracle.apply(op, vec).tolist())
         assert coeffs is not None
         cols.append(coeffs)
     return [list(row) for row in zip(*cols)]
@@ -291,13 +340,14 @@ def test_restriction_matches_elimination_oracle():
         for bits in product((0, 1), repeat=e):
             for orientation in (1, -1):
                 setup = ChainSetup.interval(bits, orientation)
-                _, vectors = majorana._ground_data(setup, majorana.DEFAULT_VERTEX_CAP)
+                _, vectors = chain_oracle.ground_data(setup)
                 assert list(vectors) == [0, 1]
-                for op in _boundary_operators(setup):
-                    got = majorana._restrict(op, vectors)
-                    assert got.dtype == np.int64 and got.shape == (2, 2)
+                words = majorana._edge_words(setup)
+                ops = chain_oracle.boundary_operators(setup)
+                for word, op in zip(_boundary_words(setup), ops):
+                    got = majorana._restrict(words, word)
                     want = _restrict_by_elimination(op, list(vectors.values()))
-                    assert got.tolist() == want, setup
+                    assert got == want, setup
                     count += 1
     assert count == 2 * 2 * (2**7 - 2)
 
@@ -307,11 +357,31 @@ def test_restriction_rejects_an_operator_that_moves_the_ground_space():
     # edge's term +-c_v d_tail, so it maps the ground space onto excited states
     for orientation in (1, -1):
         setup = ChainSetup.interval((0, 1, 1), orientation)
-        _, vectors = majorana._ground_data(setup, majorana.DEFAULT_VERTEX_CAP)
-        c, _ = majorana._majoranas(setup.vertex_count)
+        words = majorana._edge_words(setup)
+        _, vectors = chain_oracle.ground_data(setup)
+        c, _ = majoranas(setup.vertex_count)
         for v in (1, 2):
             with pytest.raises(ArithmeticError, match="ground space"):
-                majorana._restrict(c[v], vectors)
+                majorana._restrict(words, [2 * v])
+            with pytest.raises(ArithmeticError, match="ground space"):
+                chain_oracle.restrict(c[v], vectors)
+        # the product of both boundary Majoranas is even: it keeps each
+        # ground line, so no edge set carries the other line onto its image
+        c_word, d_word = _boundary_words(setup)
+        with pytest.raises(ArithmeticError, match="no edge set"):
+            majorana._restrict(words, c_word + d_word)
+
+
+def test_commutant_dimension_of_small_systems():
+    ident, jordan, diag = [[1, 0], [0, 1]], [[1, 1], [0, 1]], [[1, 0], [0, 2]]
+    assert majorana._commutant_dimension([ident]) == 4
+    assert majorana._commutant_dimension([jordan]) == 2
+    assert majorana._commutant_dimension([diag]) == 2
+    assert majorana._commutant_dimension([jordan, diag]) == 1
+    assert majorana._commutant_dimension([[[0, 1], [1, 0]], [[0, -1], [1, 0]]]) == 1
+    # these generate all 2x2 matrices, so only the scalars commute with them
+    gens = [[[2, 1], [2, -1]], [[0, 0], [2, 1]], [[2, 1], [2, -2]]]
+    assert majorana._commutant_dimension(gens) == 1
 
 
 def test_bimodule_check_rejects_circles():

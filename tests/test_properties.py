@@ -1,10 +1,11 @@
-"""Property tests of the Brown exponent on generated nondegenerate forms."""
+"""Property tests of enhancements and the Brown exponent on generated
+nondegenerate forms, and of the one-pass surface scans."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from arfbrown.f2 import F2Matrix
-from arfbrown.quadform import Enhancement, arf_brown, gauss_sum
+from arfbrown.f2 import F2Matrix, F2Vector
+from arfbrown.quadform import Enhancement, arf_brown, evaluate, gauss_sum
 from arfbrown.surface import GluingScheme, IntersectionForm
 from gauss_oracle import block_sum, enumerated_gauss_sum, root_of_gauss_sum
 from surface_oracle import assert_matches_oracle, vertex_count
@@ -42,6 +43,18 @@ def nondegenerate_enhancements(draw, max_dim: int):
     form = IntersectionForm(labels, F2Matrix(gram, ncols=dim))
     values = {label: gram[i][i] + 2 * draw(bits) for i, label in enumerate(labels)}
     return Enhancement(form, values)
+
+
+@_SETTINGS
+@given(nondegenerate_enhancements(max_dim=12), st.data())
+def test_enhancement_obeys_the_quadratic_law(q, data):
+    # q(x + y) = q(x) + q(y) + 2 I(x, y) mod 4
+    x, y = (
+        F2Vector.from_mask(data.draw(st.integers(0, (1 << q.dim) - 1)), q.dim)
+        for _ in range(2)
+    )
+    pairing = q.form.gram.mv(y).dot(x)
+    assert evaluate(q, x + y) == (evaluate(q, x) + evaluate(q, y) + 2 * pairing) % 4
 
 
 @_SETTINGS
