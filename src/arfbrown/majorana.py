@@ -8,8 +8,8 @@ words of `clifford.evaluate_on_empty`.  The Hamiltonian is
     H = 1/2 sum over edges of T_e,    T_e = (-1)^{t(e)} c_head d_tail
 
 with boundary(e) = head - tail in the chosen orientation.  Each call checks
-that no generator occurs in two edge terms.  Then the T_e square to 1 and
-commute, and every nonempty product of them is a non-scalar, hence
+that every T_e squares to 1 and that no generator occurs in two of them,
+so they commute, and every nonempty product of them is a non-scalar, hence
 traceless, monomial: 2H has eigenvalues -E + 2j with multiplicity
 C(E, j) 2^{n-E}, and the ground space is the image of P = prod (1 - T_e).
 The ground parity and the boundary action are word evaluations, with no
@@ -125,16 +125,36 @@ class ChainSetup:
         return f"ChainSetup({kind} {list(self.edge_bits)}, orientation {sign})"
 
 
-def _edge_words(setup: ChainSetup) -> list[tuple[int, list[int]]]:
-    """(sign, word) of T_e = (-1)^{t(e)} c_head d_tail, in edge order;
-    ArithmeticError if two edge terms share a generator."""
-    words = [
+def _edge_terms(setup: ChainSetup) -> list[tuple[int, list[int]]]:
+    """(sign, word) of T_e = (-1)^{t(e)} c_head d_tail, in edge order."""
+    return [
         (-1 if bit else 1, [2 * head, 2 * tail + 1])
         for tail, head, bit in setup.edges
     ]
+
+
+def _squares_to_one(word: Sequence[int]) -> bool:
+    """For k distinct generators w^2 = (-1)^{k(k-1)/2} times the product
+    of their squares, and d squares to -1; a word with a repeat is
+    evaluated."""
+    k = len(word)
+    if len(set(word)) < k:
+        return evaluate_on_empty([*word, *word]) == (1, 0)
+    return (k * (k - 1) // 2 + sum(g & 1 for g in word)) % 2 == 0
+
+
+def _edge_words(setup: ChainSetup) -> list[tuple[int, list[int]]]:
+    """The edge terms, certified: ArithmeticError unless each squares to 1
+    and no generator occurs in two of them (then they commute)."""
+    words = _edge_terms(setup)
+    for _, word in words:
+        if not _squares_to_one(word):
+            raise ArithmeticError("an edge term does not square to 1")
     used = [g for _, word in words for g in word]
     if len(set(used)) != len(used):
-        raise ArithmeticError("two edge terms share a Majorana generator")
+        raise ArithmeticError(
+            "two edge terms share a Majorana generator, so they need not commute"
+        )
     return words
 
 

@@ -12,7 +12,7 @@ import pytest
 import chain_oracle
 from arfbrown import majorana
 from arfbrown._dense import majoranas
-from arfbrown.clifford import Signature, irreducible_supermodule
+from arfbrown.clifford import Signature, evaluate_on_empty, irreducible_supermodule
 from arfbrown.errors import CapExceeded
 from arfbrown.exactla import MOD_PRIMES, modular_nullity, solve_in_span
 from arfbrown.majorana import (
@@ -173,29 +173,51 @@ def test_ten_thousand_vertices_in_under_a_second(kind):
     )
 
 
-def _shared_generator(edges):
-    return edges + edges[:1]
+def test_square_certificate_matches_word_evaluation():
+    for k in range(5):
+        for word in product(range(6), repeat=k):
+            want = evaluate_on_empty([*word, *word]) == (1, 0)
+            assert majorana._squares_to_one(word) == want, word
 
 
-def _missing_generator(edges):
-    return edges[:-1]
+_edge_terms = majorana._edge_terms
+
+
+def _flip_one_sign(setup):
+    # d_tail -> c_tail flips the sign of one generator's square, so the
+    # first term becomes c_head c_tail, which squares to -1
+    terms = _edge_terms(setup)
+    sign, (head, tail) = terms[0]
+    terms[0] = (sign, [head, tail ^ 1])
+    return terms
+
+
+def _shared_generator(setup):
+    terms = _edge_terms(setup)
+    return terms + terms[:1]
+
+
+def _missing_generator(setup):
+    return _edge_terms(setup)[:-1]
 
 
 @pytest.mark.parametrize(
-    "corrupt, message",
+    "corrupt, n, message",
     [
-        (_shared_generator, "share a Majorana generator"),
-        (_missing_generator, "moves the empty subset"),
+        (_flip_one_sign, 3, "square"),
+        (lambda setup: _edge_terms(setup) + [(1, [0])], 3, "commute"),
+        pytest.param(
+            _shared_generator, 3, "share a Majorana generator", id="shared-generator"
+        ),
+        pytest.param(
+            _missing_generator, 3, "moves the empty subset", id="missing-generator"
+        ),
     ],
-    ids=["shared-generator", "missing-generator"],
 )
-def test_runtime_certificates_reject_broken_terms(monkeypatch, corrupt, message):
-    edges = ChainSetup.edges
-    monkeypatch.setattr(
-        ChainSetup, "edges", property(lambda setup: corrupt(edges.fget(setup)))
-    )
+def test_runtime_certificates_reject_broken_terms(monkeypatch, corrupt, n, message):
+    monkeypatch.setattr(majorana, "_edge_terms", corrupt)
     with pytest.raises(ArithmeticError, match=message):
-        ground_states(ChainSetup.circle((0, 1, 1)))
+        ground_states(ChainSetup.circle((0,) + (1,) * (n - 1)))
 
 
 def test_single_vertex_frozen_matrices():
