@@ -73,11 +73,8 @@ def edge_terms(
     d: Mapping[int, SignedPerm],
 ) -> list[SignedPerm]:
     """T_e = (-1)^{t(e)} c_head d_tail for every edge, in edge order."""
-    terms = []
-    for tail, head, bit in setup.edges:
-        term = c[head].after(d[tail])
-        terms.append(-term if bit else term)
-    return terms
+    terms = [(c[head].after(d[tail]), bit) for tail, head, bit in setup.edges]
+    return [-term if bit else term for term, bit in terms]
 
 
 def dense_sum(terms: Iterable[SignedPerm], dim: int) -> np.ndarray:

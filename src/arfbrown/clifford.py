@@ -483,9 +483,7 @@ def graded_tensor(a: CliffordElement, b: CliffordElement) -> CliffordElement:
 
 def grading_operator_action(a: CliffordElement) -> CliffordElement:
     """alpha(a): multiply each degree-k monomial by (-1)^k."""
-    coeffs = {
-        k: (-v if len(k) % 2 else v) for k, v in a._coeffs.items()
-    }
+    coeffs = {k: (-v if len(k) % 2 else v) for k, v in a._coeffs.items()}
     return CliffordElement._raw(a.signature, coeffs)
 
 

@@ -96,15 +96,11 @@ class ChainSetup:
     @property
     def edges(self) -> tuple[tuple[int, int, int], ...]:
         """(tail, head, bit) per edge, in edge order."""
-        bits = self._component.edge_bits
-        n = self.vertex_count
-        out = []
-        for i, bit in enumerate(bits):
-            tail, head = i, (i + 1) % n
-            if self._orientation == -1:
-                tail, head = head, tail
-            out.append((tail, head, bit))
-        return tuple(out)
+        n, flip = self.vertex_count, self._orientation == -1
+        return tuple(
+            ((i + 1) % n, i, bit) if flip else (i, (i + 1) % n, bit)
+            for i, bit in enumerate(self._component.edge_bits)
+        )
 
     def reversed(self) -> ChainSetup:
         return ChainSetup(self._component, -self._orientation)
@@ -133,23 +129,12 @@ def _edge_terms(setup: ChainSetup) -> list[tuple[int, list[int]]]:
     ]
 
 
-def _squares_to_one(word: Sequence[int]) -> bool:
-    """For k distinct generators w^2 = (-1)^{k(k-1)/2} times the product
-    of their squares, and d squares to -1; a word with a repeat is
-    evaluated."""
-    k = len(word)
-    if len(set(word)) < k:
-        return evaluate_on_empty([*word, *word]) == (1, 0)
-    return (k * (k - 1) // 2 + sum(g & 1 for g in word)) % 2 == 0
-
-
 def _edge_words(setup: ChainSetup) -> list[tuple[int, list[int]]]:
     """The edge terms, certified: ArithmeticError unless each squares to 1
     and no generator occurs in two of them (then they commute)."""
     words = _edge_terms(setup)
-    for _, word in words:
-        if not _squares_to_one(word):
-            raise ArithmeticError("an edge term does not square to 1")
+    if any(evaluate_on_empty([*word, *word]) != (1, 0) for _, word in words):
+        raise ArithmeticError("an edge term does not square to 1")
     used = [g for _, word in words for g in word]
     if len(set(used)) != len(used):
         raise ArithmeticError(
@@ -158,9 +143,7 @@ def _edge_words(setup: ChainSetup) -> list[tuple[int, list[int]]]:
     return words
 
 
-def majorana_operators(
-    setup: ChainSetup,
-) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+def majorana_operators(setup: ChainSetup) -> dict[int, tuple[np.ndarray, np.ndarray]]:
     """c_v and d_v for every vertex, as integer matrices on the subsets."""
     from . import _dense
 
@@ -188,6 +171,11 @@ def ground_states(
     setup: ChainSetup, cap: int = DEFAULT_VERTEX_CAP
 ) -> GroundStateReport:
     """Full spectrum of H with exact multiplicities, plus ground data."""
+    return _ground_report(setup, cap)[0]
+
+
+def _ground_report(setup: ChainSetup, cap: int) -> tuple[GroundStateReport, list]:
+    """`ground_states`, and the certified edge terms it was computed from."""
     n = setup.vertex_count
     if n > cap:
         raise CapExceeded(f"{n} vertices exceed the configured cap of {cap}")
@@ -205,8 +193,7 @@ def ground_states(
         # c at the vertex that heads no edge is odd and commutes with every
         # T_e, so it swaps the even and the odd ground line
         parity = "mixed"
-    spectrum = []
-    mult = 1 << (n - edge_count)
+    spectrum, mult = [], 1 << (n - edge_count)
     for j in range(edge_count + 1):
         spectrum.append((Fraction(2 * j - edge_count, 2), mult))
         mult = mult * (edge_count - j) // (j + 1)
@@ -215,7 +202,7 @@ def ground_states(
         ground_dimension=spectrum[0][1],
         ground_parity=parity,
         spectrum=tuple(spectrum),
-    )
+    ), words
 
 
 def epsilon_operator(
@@ -232,9 +219,8 @@ def epsilon_operator(
     if not setup.is_circle:
         raise HasBoundary("the epsilon operator is defined on circles")
     n = setup.vertex_count
-    if vertex_order is None:
-        vertex_order = range(n)
-    return _dense.epsilon(*_dense.majoranas(n), vertex_order).to_matrix()
+    order = range(n) if vertex_order is None else vertex_order
+    return _dense.epsilon(*_dense.majoranas(n), order).to_matrix()
 
 
 @dataclass(frozen=True, eq=False)
@@ -298,7 +284,7 @@ _PROBES = ((), (0,))
 
 
 def _restrict(
-    words: list[tuple[int, list[int]]], word: Sequence[int]
+    words: list[tuple[int, list[int]]], used: set[int], word: Sequence[int]
 ) -> list[list[int]]:
     """The 2x2 matrix of an odd monomial on an interval's ground space, in
     the basis (P e_0, P e_1).
@@ -307,9 +293,10 @@ def _restrict(
     maps P e_probe to sigma P e_m.  On a path one edge set S flips the other
     probe's subset onto m: edge i (joining vertices i, i+1) is in S iff an
     odd number of flipped vertices lie in 0..i.  Then e_m = rho T_S e_other
-    and P T_S = (-1)^|S| P, so the entry is sigma rho (-1)^|S|.
+    and P T_S = (-1)^|S| P, so the entry is sigma rho (-1)^|S|.  `used`
+    is the set of generators of the edge terms.
     """
-    if {g for _, w in words for g in w}.intersection(word):
+    if used.intersection(word):
         raise ArithmeticError(
             "the operator shares a generator with an edge term,"
             " so it does not preserve the ground space"
@@ -362,13 +349,13 @@ def interval_bimodule_check(
     """
     if setup.is_circle:
         raise ValueError("the bimodule check applies to intervals")
-    report = ground_states(setup, cap)
-    words = _edge_words(setup)
+    report, words = _ground_report(setup, cap)
+    used = {g for _, word in words for g in word}
     n = setup.vertex_count
-    (c_vertex,) = set(range(n)) - {w[0] >> 1 for _, w in words}
-    (d_vertex,) = set(range(n)) - {w[1] >> 1 for _, w in words}
-    c_r = _restrict(words, [2 * c_vertex])
-    d_r = _restrict(words, [2 * d_vertex + 1])
+    (c_gen,) = set(range(0, 2 * n, 2)) - used
+    (d_gen,) = set(range(1, 2 * n, 2)) - used
+    c_r = _restrict(words, used, [c_gen])
+    d_r = _restrict(words, used, [d_gen])
     plus_sq = _mul(c_r, c_r) == [[1, 0], [0, 1]]
     minus_sq = _mul(d_r, d_r) == [[-1, 0], [0, -1]]
     anti = _mul(c_r, d_r) == [[-v for v in row] for row in _mul(d_r, c_r)]

@@ -12,7 +12,7 @@ import pytest
 import chain_oracle
 from arfbrown import majorana
 from arfbrown._dense import majoranas
-from arfbrown.clifford import Signature, evaluate_on_empty, irreducible_supermodule
+from arfbrown.clifford import Signature, irreducible_supermodule
 from arfbrown.errors import CapExceeded
 from arfbrown.exactla import MOD_PRIMES, modular_nullity, solve_in_span
 from arfbrown.majorana import (
@@ -129,6 +129,11 @@ def _boundary_words(setup):
     return [2 * c_vertex], [2 * d_vertex + 1]
 
 
+def _restrict(setup, word):
+    words = majorana._edge_words(setup)
+    return majorana._restrict(words, {g for _, w in words for g in w}, word)
+
+
 def _assert_matches_dense_oracle(setup):
     report, _ = chain_oracle.ground_data(setup)
     assert ground_states(setup) == report, setup
@@ -136,10 +141,9 @@ def _assert_matches_dense_oracle(setup):
         return
     interval, c_r, d_r = chain_oracle.bimodule_report(setup)
     assert interval_bimodule_check(setup) == interval, setup
-    words = majorana._edge_words(setup)
     c_word, d_word = _boundary_words(setup)
-    assert majorana._restrict(words, c_word) == c_r.tolist(), setup
-    assert majorana._restrict(words, d_word) == d_r.tolist(), setup
+    assert _restrict(setup, c_word) == c_r.tolist(), setup
+    assert _restrict(setup, d_word) == d_r.tolist(), setup
 
 
 def test_symbolic_path_matches_dense_oracle():
@@ -171,13 +175,6 @@ def test_ten_thousand_vertices_in_under_a_second(kind):
     assert report.ground_parity == (
         "mixed" if kind == "interval" else "even" if sum(bits) % 2 else "odd"
     )
-
-
-def test_square_certificate_matches_word_evaluation():
-    for k in range(5):
-        for word in product(range(6), repeat=k):
-            want = evaluate_on_empty([*word, *word]) == (1, 0)
-            assert majorana._squares_to_one(word) == want, word
 
 
 _edge_terms = majorana._edge_terms
@@ -364,10 +361,9 @@ def test_restriction_matches_elimination_oracle():
                 setup = ChainSetup.interval(bits, orientation)
                 _, vectors = chain_oracle.ground_data(setup)
                 assert list(vectors) == [0, 1]
-                words = majorana._edge_words(setup)
                 ops = chain_oracle.boundary_operators(setup)
                 for word, op in zip(_boundary_words(setup), ops):
-                    got = majorana._restrict(words, word)
+                    got = _restrict(setup, word)
                     want = _restrict_by_elimination(op, list(vectors.values()))
                     assert got == want, setup
                     count += 1
@@ -379,19 +375,18 @@ def test_restriction_rejects_an_operator_that_moves_the_ground_space():
     # edge's term +-c_v d_tail, so it maps the ground space onto excited states
     for orientation in (1, -1):
         setup = ChainSetup.interval((0, 1, 1), orientation)
-        words = majorana._edge_words(setup)
         _, vectors = chain_oracle.ground_data(setup)
         c, _ = majoranas(setup.vertex_count)
         for v in (1, 2):
             with pytest.raises(ArithmeticError, match="ground space"):
-                majorana._restrict(words, [2 * v])
+                _restrict(setup, [2 * v])
             with pytest.raises(ArithmeticError, match="ground space"):
                 chain_oracle.restrict(c[v], vectors)
         # the product of both boundary Majoranas is even: it keeps each
         # ground line, so no edge set carries the other line onto its image
         c_word, d_word = _boundary_words(setup)
         with pytest.raises(ArithmeticError, match="no edge set"):
-            majorana._restrict(words, c_word + d_word)
+            _restrict(setup, c_word + d_word)
 
 
 def test_commutant_dimension_of_small_systems():
