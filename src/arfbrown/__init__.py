@@ -4,176 +4,22 @@ Subpackages by topic: GF(2) linear algebra (f2), polygon gluing words
 (surface), Z/4 quadratic enhancements and Gauss sums (quadform), graded
 Clifford algebras (clifford), combinatorial structures on 1-manifolds
 (pin1), the chain Hamiltonian and its exact spectra (majorana), the
-theory evaluator (tqft), and the command line (cli).
+theory evaluator (tqft), and the command line (cli).  The package exports
+every name in the `__all__` of its runtime modules, and no other.
 """
 
-from .clifford import (
-    CliffordElement,
-    GaussianRational,
-    LabelCollision,
-    Signature,
-    SignatureMismatch,
-    SuperMatrix,
-    UnpairedSignature,
-    cl11_rep,
-    graded_tensor,
-    grading_operator_action,
-    irreducible_supermodule,
-    multiply,
-)
-from .errors import CapExceeded
-from .f2 import (
-    Degenerate,
-    F2Matrix,
-    F2Vector,
-    NotAlternating,
-    OddDimension,
-    rank,
-    symplectic_basis,
-)
-from .majorana import (
-    ChainSetup,
-    GroundStateReport,
-    IntervalReport,
-    ReferenceModule,
-    doubled_hamiltonian,
-    epsilon_operator,
-    ground_states,
-    interval_bimodule_check,
-    majorana_operators,
-    reference_module,
-)
-from .pin1 import (
-    Circle,
-    CircleClass,
-    HasBoundary,
-    Interval,
-    Pin1Manifold,
-    bordism_class,
-    classify_circle,
-    concatenate,
-    interval_class,
-)
-from .quadform import (
-    Cyc8,
-    DimensionMismatch,
-    Enhancement,
-    NotRootOfUnity,
-    NotSpin,
-    ParityViolation,
-    RootOfUnity8,
-    arf,
-    arf_brown,
-    enumerate_enhancements,
-    evaluate,
-    gauss_sum,
-)
-from .surface import (
-    GluingScheme,
-    IntersectionForm,
-    MalformedWord,
-    MultipleVertices,
-    SurfaceInfo,
-    analyze,
-    intersection_form,
-    nonorientable_scheme,
-    normalize,
-    orientable_scheme,
-    surface_form,
-)
-from .tqft import (
-    ConsistencyReport,
-    PartitionValue,
-    SuperLineValue,
-    SuperalgebraValue,
-    TheoryClass,
-    consistency_report,
-    evaluate_circle,
-    evaluate_point,
-    is_stable,
-    partition_function,
-    stack,
-)
+from . import clifford, errors, f2, majorana, pin1, quadform, surface, tqft
+from .clifford import *
+from .errors import *
+from .f2 import *
+from .majorana import *
+from .pin1 import *
+from .quadform import *
+from .surface import *
+from .tqft import *
 
 __all__ = [
-    "CapExceeded",
-    # f2
-    "F2Vector",
-    "F2Matrix",
-    "rank",
-    "symplectic_basis",
-    "NotAlternating",
-    "Degenerate",
-    "OddDimension",
-    # surface
-    "GluingScheme",
-    "SurfaceInfo",
-    "IntersectionForm",
-    "analyze",
-    "normalize",
-    "orientable_scheme",
-    "nonorientable_scheme",
-    "intersection_form",
-    "surface_form",
-    "MalformedWord",
-    "MultipleVertices",
-    # quadform
-    "Cyc8",
-    "RootOfUnity8",
-    "Enhancement",
-    "evaluate",
-    "enumerate_enhancements",
-    "arf",
-    "gauss_sum",
-    "arf_brown",
-    "DimensionMismatch",
-    "NotSpin",
-    "NotRootOfUnity",
-    "ParityViolation",
-    # clifford
-    "GaussianRational",
-    "Signature",
-    "CliffordElement",
-    "SuperMatrix",
-    "multiply",
-    "graded_tensor",
-    "grading_operator_action",
-    "cl11_rep",
-    "irreducible_supermodule",
-    "SignatureMismatch",
-    "LabelCollision",
-    "UnpairedSignature",
-    # pin1
-    "Circle",
-    "Interval",
-    "Pin1Manifold",
-    "CircleClass",
-    "concatenate",
-    "interval_class",
-    "classify_circle",
-    "bordism_class",
-    "HasBoundary",
-    # majorana
-    "ChainSetup",
-    "GroundStateReport",
-    "ReferenceModule",
-    "IntervalReport",
-    "majorana_operators",
-    "doubled_hamiltonian",
-    "ground_states",
-    "epsilon_operator",
-    "reference_module",
-    "interval_bimodule_check",
-    # tqft
-    "TheoryClass",
-    "SuperalgebraValue",
-    "SuperLineValue",
-    "PartitionValue",
-    "ConsistencyReport",
-    "evaluate_point",
-    "evaluate_circle",
-    "partition_function",
-    "stack",
-    "is_stable",
-    "consistency_report",
+    name
+    for module in (errors, f2, surface, quadform, clifford, pin1, majorana, tqft)
+    for name in module.__all__
 ]

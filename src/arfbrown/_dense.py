@@ -1,19 +1,20 @@
 """Dense integer matrices of the Majorana chain, on signed permutations.
 
-Only the `majorana` functions that return numpy matrices import this
-module, inside their bodies, so numpy stays off the command-line path.
+Every chain operator is a signed generator word, numbered as in
+`clifford.evaluate_on_empty` (2v is c_v, 2v+1 is d_v); this module renders
+such words on the subset basis.  Only the `majorana` functions that return
+numpy matrices import it, inside their bodies, so numpy stays off the
+command-line path.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, Mapping
+from functools import reduce
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-if TYPE_CHECKING:
-    from .majorana import ChainSetup
-
-__all__ = ["SignedPerm", "majoranas", "edge_terms", "dense_sum", "epsilon"]
+__all__ = ["SignedPerm", "majoranas", "render", "dense_sum"]
 
 
 class SignedPerm:
@@ -67,30 +68,26 @@ def majoranas(n: int) -> tuple[dict[int, SignedPerm], dict[int, SignedPerm]]:
     return c, d
 
 
-def edge_terms(
-    setup: ChainSetup,
+def render(
+    word: Sequence[int],
     c: Mapping[int, SignedPerm],
     d: Mapping[int, SignedPerm],
-) -> list[SignedPerm]:
-    """T_e = (-1)^{t(e)} c_head d_tail for every edge, in edge order."""
-    terms = [(c[head].after(d[tail]), bit) for tail, head, bit in setup.edges]
-    return [-term if bit else term for term, bit in terms]
+) -> SignedPerm:
+    """The product g_{w0} g_{w1} ... of a nonempty generator word, with
+    generator 2v read as c[v] and 2v+1 as d[v]."""
+    return reduce(SignedPerm.after, (d[g >> 1] if g & 1 else c[g >> 1] for g in word))
 
 
-def dense_sum(terms: Iterable[SignedPerm], dim: int) -> np.ndarray:
+def dense_sum(
+    terms: Iterable[tuple[int, Sequence[int]]],
+    c: Mapping[int, SignedPerm],
+    d: Mapping[int, SignedPerm],
+    dim: int,
+) -> np.ndarray:
+    """The sum of signed words (sign, word), as a dim x dim integer matrix."""
     out = np.zeros((dim, dim), dtype=np.int64)
     cols = np.arange(dim)
-    for term in terms:
-        out[term.target, cols] += term.sign
+    for sign, word in terms:
+        term = render(word, c, d)
+        out[term.target, cols] += sign * term.sign
     return out
-
-
-def epsilon(
-    c: Mapping[int, SignedPerm], d: Mapping[int, SignedPerm], order: Iterable[int]
-) -> SignedPerm:
-    """The product of d_v c_v over the vertices in order.  The factors
-    commute (they touch disjoint generator pairs), so the order is free."""
-    acc = SignedPerm.identity(c[0].target.size)
-    for v in order:
-        acc = d[v].after(c[v]).after(acc)
-    return acc

@@ -20,6 +20,7 @@ for elements of Z[zeta8].  Exit codes: 0 success, 1 failing selftest,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -29,7 +30,7 @@ from typing import Iterable, Sequence
 
 from .clifford import GaussianRational
 from .errors import CapExceeded
-from .majorana import DEFAULT_VERTEX_CAP, ChainSetup, ground_states
+from .majorana import ChainSetup, ground_states
 from .pin1 import HasBoundary, classify_circle
 from .quadform import (
     Cyc8,
@@ -447,12 +448,10 @@ def _attach_enhancements(
     return out
 
 
-def _check_cap_dim(q: Enhancement, cap_dim: int) -> None:
-    """--cap-dim bounds the input's form dimension; the library has no cap."""
-    if q.dim > cap_dim:
-        raise CapExceeded(
-            f"form dimension {q.dim} exceeds the cap of {cap_dim} (--cap-dim)"
-        )
+def _check_cap(what: str, size: int, cap: int, flag: str) -> None:
+    """--cap-n and --cap-dim bound the input's size; the library has no cap."""
+    if size > cap:
+        raise CapExceeded(f"{what} {size} exceeds the cap of {cap} ({flag})")
 
 
 def cmd_arf_brown(
@@ -463,7 +462,7 @@ def cmd_arf_brown(
 ) -> int:
     statements = _collect(paths)
     for surf, q, values in _attach_enhancements(statements, inline_specs):
-        _check_cap_dim(q, cap_dim)
+        _check_cap("form dimension", q.dim, cap_dim, "--cap-dim")
         root = arf_brown(q)
         total = _gauss_sum_of_root(root, q.dim)
         arf_value = arf(q) if q.is_even_valued() else None
@@ -505,7 +504,8 @@ def cmd_majorana(paths: Sequence[str], cap_n: int, emitter: Emitter) -> int:
             setup = ChainSetup.interval(stmt.bits, stmt.orientation)
             circle_class = None
             want_dim, want_parity = 2, "mixed"
-        report = ground_states(setup, cap=cap_n)
+        _check_cap("vertex count", setup.vertex_count, cap_n, "--cap-n")
+        report = ground_states(setup)
         verdict = (
             "ok"
             if (report.ground_dimension, report.ground_parity)
@@ -608,7 +608,7 @@ def cmd_tqft(
                 [f"circle {stmt.name}: {cls.value}, {line.parity} line"],
             )
     for surf, q, values in enhanced:
-        _check_cap_dim(q, cap_dim)
+        _check_cap("form dimension", q.dim, cap_dim, "--cap-dim")
         value = partition_function(theory, [(surf.scheme, q)])
         total = value if total is None else total * value
         emitter.emit(
@@ -669,6 +669,7 @@ def _positive_int(text: str) -> int:
     return value
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
@@ -680,7 +681,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--cap-n",
         type=_positive_int,
-        default=DEFAULT_VERTEX_CAP,
+        default=10,
         metavar="N",
         help="largest vertex count for chain spectra (default %(default)s)",
     )
@@ -689,7 +690,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=_positive_int,
         default=20,
         metavar="D",
-        help="largest form dimension for Arf-Brown invariants (default 20)",
+        help="largest form dimension for Arf-Brown invariants (default %(default)s)",
     )
     parser = argparse.ArgumentParser(
         prog="arfbrown",

@@ -428,7 +428,7 @@ def _word_product(
 
 def evaluate_on_empty(word: Sequence[int]) -> tuple[int, int]:
     """(sign, subset mask) of a word applied to the empty subset of
-    (C^{1|1})^{(x) n}, with 2v and 2v+1 factor v's cl11_rep pair.
+    (C^{1|1})^{(x) n}, with 2v and 2v+1 factor v's +1 and -1 generator.
 
     Sorted, the factors act from the highest down, each on an even factor
     with only even factors before it, so no Koszul sign arises: a lone
@@ -633,15 +633,15 @@ class SuperMatrix:
 
 
 def cl11_rep() -> tuple[SuperMatrix, SuperMatrix]:
-    """The odd action matrices of the (+1, -1) generator pair on C^{1|1}.
+    """The odd action matrices of the (+1, -1) generator pair on C^{1|1},
+    the n = 1 case of `irreducible_supermodule`.
 
     In the ordered basis (even vector, odd vector) the +1 generator acts by
     [[0,1],[1,0]] and the -1 generator by [[0,-1],[1,0]]; their product is
     the grading operator diag(1,-1).  Squares and the anticommutator are
     checked here at construction.
     """
-    plus = SuperMatrix(1, 1, [[0, 1], [1, 0]], "odd")
-    minus = SuperMatrix(1, 1, [[0, -1], [1, 0]], "odd")
+    plus, minus = irreducible_supermodule(Signature.cl(1, 1))
     ident = SuperMatrix.identity(1, 1)
     if plus * plus != ident:
         raise ArithmeticError("positive generator must square to +1")
@@ -657,11 +657,11 @@ def irreducible_supermodule(sig: Signature) -> list[SuperMatrix]:
 
     Requires n generators of square +1 and n of square -1; the k-th
     positive and k-th negative generators (in signature order) act on the
-    k-th C^{1|1} tensor factor through the cl11_rep pair, extended over the
-    graded tensor product by the Koszul sign rule.  The basis is the
-    subsets of factors in odd states, sorted by (parity, mask).  Returns
-    one matrix per generator, in signature order; all Clifford relations
-    hold exactly.
+    k-th C^{1|1} tensor factor as 2k and 2k+1 in `evaluate_on_empty`,
+    extended over the graded tensor product by the Koszul sign rule.  The
+    basis is the subsets of factors in odd states, sorted by (parity,
+    mask).  Returns one matrix per generator, in signature order; all
+    Clifford relations hold exactly.
     """
     positives = sig.positive_labels()
     negatives = sig.negative_labels()
@@ -678,13 +678,15 @@ def irreducible_supermodule(sig: Signature) -> list[SuperMatrix]:
     # empty subset
     columns = [[2 * v for v in range(n) if m >> v & 1] for m in order]
     half = 1 << (n - 1)
+    # Gaussian rationals are immutable, so every entry is one of three
+    zero, unit = GaussianRational(), {1: GaussianRational(1), -1: GaussianRational(-1)}
     out = []
     for label in sig.labels:
         negative = sig.sign(label) == -1
         g = 2 * (negatives if negative else positives).index(label) + negative
-        rows = [[0] * len(order) for _ in order]
+        rows = [[zero] * len(order) for _ in order]
         for j, column in enumerate(columns):
             sign, mask = evaluate_on_empty([g, *column])
-            rows[position[mask]][j] = sign
+            rows[position[mask]][j] = unit[sign]
         out.append(SuperMatrix(half, half, rows, "odd"))
     return out

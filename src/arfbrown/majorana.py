@@ -13,7 +13,10 @@ so they commute, and every nonempty product of them is a non-scalar, hence
 traceless, monomial: 2H has eigenvalues -E + 2j with multiplicity
 C(E, j) 2^{n-E}, and the ground space is the image of P = prod (1 - T_e).
 The ground parity and the boundary action are word evaluations, with no
-2^n vector.  Only the dense matrices need numpy, through `_dense`.
+2^n vector and no size cap; the command line bounds the vertex count.
+Every operator here is one signed word (`_edge_terms`, `_epsilon_word`),
+and the dense matrices are those words rendered by `_dense`, the one
+module that needs numpy.
 """
 
 from __future__ import annotations
@@ -24,7 +27,6 @@ from math import prod
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .clifford import evaluate_on_empty
-from .errors import CapExceeded
 from .exactla import rational_nullity
 from .pin1 import Circle, HasBoundary, Interval
 
@@ -43,8 +45,6 @@ __all__ = [
     "reference_module",
     "interval_bimodule_check",
 ]
-
-DEFAULT_VERTEX_CAP = 10
 
 
 class ChainSetup:
@@ -129,6 +129,12 @@ def _edge_terms(setup: ChainSetup) -> list[tuple[int, list[int]]]:
     ]
 
 
+def _epsilon_word(n: int) -> list[int]:
+    """d_v c_v for every vertex.  The pairs touch disjoint generators, so
+    they commute and any vertex order gives the same operator."""
+    return [g for v in range(n) for g in (2 * v + 1, 2 * v)]
+
+
 def _edge_words(setup: ChainSetup) -> list[tuple[int, list[int]]]:
     """The edge terms, certified: ArithmeticError unless each squares to 1
     and no generator occurs in two of them (then they commute)."""
@@ -156,7 +162,7 @@ def doubled_hamiltonian(setup: ChainSetup) -> np.ndarray:
     from . import _dense
 
     n = setup.vertex_count
-    return _dense.dense_sum(_dense.edge_terms(setup, *_dense.majoranas(n)), 1 << n)
+    return _dense.dense_sum(_edge_terms(setup), *_dense.majoranas(n), 1 << n)
 
 
 @dataclass(frozen=True)
@@ -167,18 +173,14 @@ class GroundStateReport:
     spectrum: tuple[tuple[Fraction, int], ...]
 
 
-def ground_states(
-    setup: ChainSetup, cap: int = DEFAULT_VERTEX_CAP
-) -> GroundStateReport:
+def ground_states(setup: ChainSetup) -> GroundStateReport:
     """Full spectrum of H with exact multiplicities, plus ground data."""
-    return _ground_report(setup, cap)[0]
+    return _ground_report(setup)[0]
 
 
-def _ground_report(setup: ChainSetup, cap: int) -> tuple[GroundStateReport, list]:
+def _ground_report(setup: ChainSetup) -> tuple[GroundStateReport, list]:
     """`ground_states`, and the certified edge terms it was computed from."""
     n = setup.vertex_count
-    if n > cap:
-        raise CapExceeded(f"{n} vertices exceed the configured cap of {cap}")
     words = _edge_words(setup)
     edge_count = len(words)
     if setup.is_circle:
@@ -205,22 +207,15 @@ def _ground_report(setup: ChainSetup, cap: int) -> tuple[GroundStateReport, list
     ), words
 
 
-def epsilon_operator(
-    setup: ChainSetup, vertex_order: Sequence[int] | None = None
-) -> np.ndarray:
-    """The product of d_v c_v over all vertices of a circle.
-
-    The factors d_v c_v commute (they touch disjoint generator pairs), so
-    any vertex order gives the same matrix; the result acts on a degree-k
-    subset by (-1)^{n-k}.
-    """
+def epsilon_operator(setup: ChainSetup) -> np.ndarray:
+    """The product of d_v c_v over all vertices of a circle; it acts on a
+    degree-k subset by (-1)^{n-k}."""
     from . import _dense
 
     if not setup.is_circle:
         raise HasBoundary("the epsilon operator is defined on circles")
     n = setup.vertex_count
-    order = range(n) if vertex_order is None else vertex_order
-    return _dense.epsilon(*_dense.majoranas(n), order).to_matrix()
+    return _dense.render(_epsilon_word(n), *_dense.majoranas(n)).to_matrix()
 
 
 @dataclass(frozen=True, eq=False)
@@ -244,8 +239,9 @@ def reference_module(setup: ChainSetup) -> ReferenceModule:
     """The module A for a circle, with all operators as integer matrices.
 
     On a circle every vertex heads exactly one edge and tails exactly one,
-    so each c_v and d_v acts on a single factor.  2H is diagonal on A and
-    epsilon acts on degree-k vectors by (-1)^{k-1}.
+    so each c_v and d_v acts on a single factor.  The words of 2H and
+    epsilon are those of the chain, rendered on this relabelled table; 2H is
+    diagonal on A and epsilon acts on degree-k vectors by (-1)^{k-1}.
     """
     from . import _dense
 
@@ -260,8 +256,8 @@ def reference_module(setup: ChainSetup) -> ReferenceModule:
         vertex_count=n,
         c={v: op.to_matrix() for v, op in c.items()},
         d={v: op.to_matrix() for v, op in d.items()},
-        epsilon=_dense.epsilon(c, d, range(n)).to_matrix(),
-        doubled_hamiltonian=_dense.dense_sum(_dense.edge_terms(setup, c, d), 1 << n),
+        epsilon=_dense.render(_epsilon_word(n), c, d).to_matrix(),
+        doubled_hamiltonian=_dense.dense_sum(_edge_terms(setup), c, d, 1 << n),
     )
 
 
@@ -335,9 +331,7 @@ def _commutant_dimension(gens: list[list[list[int]]]) -> int:
     )
 
 
-def interval_bimodule_check(
-    setup: ChainSetup, cap: int = DEFAULT_VERTEX_CAP
-) -> IntervalReport:
+def interval_bimodule_check(setup: ChainSetup) -> IntervalReport:
     """Boundary Majoranas on an interval: commutation, restriction, and
     irreducibility of the induced module on the 2-dimensional ground space.
 
@@ -349,7 +343,7 @@ def interval_bimodule_check(
     """
     if setup.is_circle:
         raise ValueError("the bimodule check applies to intervals")
-    report, words = _ground_report(setup, cap)
+    report, words = _ground_report(setup)
     used = {g for _, word in words for g in word}
     n = setup.vertex_count
     (c_gen,) = set(range(0, 2 * n, 2)) - used

@@ -12,7 +12,7 @@ from math import comb
 
 import numpy as np
 
-from arfbrown._dense import SignedPerm, edge_terms, majoranas
+from arfbrown._dense import SignedPerm, majoranas
 from arfbrown.exactla import rational_nullity
 from arfbrown.majorana import GroundStateReport, IntervalReport
 
@@ -30,6 +30,13 @@ def same(a: SignedPerm, b: SignedPerm) -> bool:
 
 def _trace(op: SignedPerm) -> int:
     return int(op.sign[op.target == np.arange(len(op.target))].sum())
+
+
+def edge_terms(setup, c, d):
+    """T_e = (-1)^{t(e)} c_head d_tail for every edge, in edge order, built
+    from the generators and not from the package's edge words."""
+    terms = [(c[head].after(d[tail]), bit) for tail, head, bit in setup.edges]
+    return [-term if bit else term for term, bit in terms]
 
 
 _PARITY = {(0,): "even", (1,): "odd", (0, 1): "mixed"}

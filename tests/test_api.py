@@ -40,6 +40,18 @@ def test_package_names_are_their_home_objects():
         assert getattr(arfbrown, name) is getattr(home[name], name), name
 
 
+RUNTIME = [
+    "errors", "f2", "surface", "quadform", "clifford", "pin1", "majorana", "tqft"
+]
+
+
+def test_package_exports_every_module_name():
+    # exactla, cli and _dense stay unexported
+    want = [name for module in RUNTIME for name in MODULES[module].__all__]
+    assert arfbrown.__all__ == want
+    assert sorted(set(MODULES) - set(RUNTIME)) == ["_dense", "cli", "exactla"]
+
+
 # exact elimination that only the tests' oracles use; exactla keeps them
 # because the benchmark tracer names them
 ORACLE_ONLY = {"solve_in_span", "fraction_rref", "modular_nullity"}

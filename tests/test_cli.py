@@ -1,13 +1,15 @@
 """Command-line interface: grammar, encodings, and exit codes."""
 
+import argparse
 import json
 import time
 from fractions import Fraction
 
 import pytest
 
-from arfbrown.cli import main, parse_theory
+from arfbrown.cli import build_parser, main, parse_theory
 from arfbrown.clifford import GaussianRational
+from arfbrown.majorana import ChainSetup, ground_states
 
 
 def _write(tmp_path, name, text):
@@ -204,6 +206,30 @@ def test_majorana_cap_is_exit_4(tmp_path, capsys):
     assert main(["majorana", "--cap-n", "3", path]) == 4
 
 
+def test_vertex_cap(tmp_path, capsys):
+    # both caps are command-line input guards with one message form; the
+    # library computes past them
+    zeros = " ".join("0" * 11)
+    circle = _write(tmp_path, "c.surf", f"circle c: {zeros}\n")
+    interval = _write(tmp_path, "j.surf", f"interval j: {zeros[2:]}\n")
+    for path in (circle, interval):
+        assert main(["majorana", path]) == 4
+        assert capsys.readouterr().err == (
+            "error: vertex count 11 exceeds the cap of 10 (--cap-n)\n"
+        )
+        assert main(["majorana", "--cap-n", "11", path]) == 0
+    assert ground_states(ChainSetup.circle((0,) * 11)).ground_dimension == 1
+    word = " ".join(f"x{i} x{i}" for i in range(21))
+    values = " ".join(f"x{i}=1" for i in range(21))
+    big = _write(tmp_path, "n21.surf", f"surface N: {word}\nenhance N: {values}\n")
+    for argv in (["arf-brown", big], ["tqft", "ab=1", big]):
+        capsys.readouterr()
+        assert main(argv) == 4
+        assert capsys.readouterr().err == (
+            "error: form dimension 21 exceeds the cap of 20 (--cap-dim)\n"
+        )
+
+
 def test_bad_bits_are_exit_2(tmp_path, capsys):
     path = _write(tmp_path, "c.surf", "circle c: 0 2\n")
     assert main(["majorana", path]) == 2
@@ -338,3 +364,26 @@ def test_structured_output_is_deterministic(tmp_path, capsys):
         assert main(["majorana", "--format", "structured", path]) == 0
         runs.append(capsys.readouterr().out)
     assert runs[2] == runs[3]
+
+
+# ------------------------------------------------------------------ parser
+
+
+def test_second_main_call_builds_no_parser(tmp_path, capsys, monkeypatch):
+    path = _write(tmp_path, "p.surf", "surface P: a a\n")
+    assert main(["arf-brown", "--format", "structured", "--enhance", "a=1", path]) == 0
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    capsys.readouterr()
+    # a reused parser starts each call from a fresh --enhance list
+    assert main(["arf-brown", "--format", "structured", "--enhance", "a=3", path]) == 0
+    assert [rec["values"] for rec in _records(capsys)] == [{"a": 3}]
+    assert built == []
+    build_parser.__wrapped__()
+    assert len(built) == 7

@@ -3,7 +3,7 @@
 import random
 import time
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 from math import comb
 
 import numpy as np
@@ -11,9 +11,8 @@ import pytest
 
 import chain_oracle
 from arfbrown import majorana
-from arfbrown._dense import majoranas
-from arfbrown.clifford import Signature, irreducible_supermodule
-from arfbrown.errors import CapExceeded
+from arfbrown._dense import majoranas, render
+from arfbrown.clifford import Signature, evaluate_on_empty, irreducible_supermodule
 from arfbrown.exactla import MOD_PRIMES, modular_nullity, solve_in_span
 from arfbrown.majorana import (
     ChainSetup,
@@ -166,10 +165,10 @@ def test_ten_thousand_vertices_in_under_a_second(kind):
     setup = getattr(ChainSetup, kind)(bits)
     start = time.perf_counter()
     if kind == "circle":
-        report = ground_states(setup, cap=n)
+        report = ground_states(setup)
     else:
-        assert interval_bimodule_check(setup, cap=n).passed
-        report = ground_states(setup, cap=n)
+        assert interval_bimodule_check(setup).passed
+        report = ground_states(setup)
     assert time.perf_counter() - start < 1.0
     assert sum(mult for _, mult in report.spectrum) == 1 << n
     assert report.ground_parity == (
@@ -416,13 +415,21 @@ def test_epsilon_profile_on_subsets():
 
 
 def test_epsilon_is_order_independent():
+    # every order of the d_v c_v pairs acts alike on every subset (the
+    # subset m is the +1 generators of m on the empty one), and the word
+    # renders to epsilon_operator
     rng = random.Random(79)
-    for n in range(2, 6):
+    for n in range(1, 7):
+        word = majorana._epsilon_word(n)
+        pairs = [word[i : i + 2] for i in range(0, 2 * n, 2)]
+        columns = [[2 * v for v in range(n) if m >> v & 1] for m in range(1 << n)]
+        base = [evaluate_on_empty([*word, *column]) for column in columns]
+        for order in permutations(pairs):
+            shuffled = [g for pair in order for g in pair]
+            assert [evaluate_on_empty([*shuffled, *col]) for col in columns] == base
         setup = ChainSetup.circle(tuple(rng.randint(0, 1) for _ in range(n)))
-        base = epsilon_operator(setup)
-        order = list(range(n))
-        rng.shuffle(order)
-        assert np.array_equal(epsilon_operator(setup, vertex_order=order), base)
+        rendered = render(word, *majoranas(n)).to_matrix()
+        assert np.array_equal(rendered, epsilon_operator(setup))
 
 
 def test_epsilon_commutes_with_hamiltonian():
@@ -503,15 +510,6 @@ def test_reference_module_ground_state_correspondence():
 def test_reference_module_rejects_intervals():
     with pytest.raises(HasBoundary):
         reference_module(ChainSetup.interval((0, 1)))
-
-
-def test_vertex_cap():
-    big = ChainSetup.circle((0,) * 11)
-    with pytest.raises(CapExceeded):
-        ground_states(big)
-    assert ground_states(ChainSetup.circle((0,) * 3), cap=3)
-    with pytest.raises(CapExceeded):
-        ground_states(ChainSetup.circle((0,) * 4), cap=3)
 
 
 def test_setup_validation():
