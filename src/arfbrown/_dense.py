@@ -27,18 +27,11 @@ class SignedPerm:
         self.target = target
         self.sign = sign
 
-    @classmethod
-    def identity(cls, dim: int) -> SignedPerm:
-        return cls(np.arange(dim, dtype=np.int64), np.ones(dim, dtype=np.int64))
-
     def after(self, first: SignedPerm) -> SignedPerm:
         """self composed after first (apply first, then self)."""
         return SignedPerm(
             self.target[first.target], first.sign * self.sign[first.target]
         )
-
-    def __neg__(self) -> SignedPerm:
-        return SignedPerm(self.target, -self.sign)
 
     def to_matrix(self) -> np.ndarray:
         dim = len(self.target)

@@ -26,7 +26,7 @@ import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .clifford import GaussianRational
 from .errors import CapExceeded
@@ -42,7 +42,7 @@ from .quadform import (
     arf,
     arf_brown,
 )
-from .surface import GluingScheme, MalformedWord, analyze, normalize, surface_form
+from .surface import GluingScheme, MalformedWord, classify, surface_form
 from .tqft import (
     TheoryClass,
     consistency_report,
@@ -346,20 +346,21 @@ def _render_cyc8(value: Cyc8) -> str:
 
 
 class Emitter:
-    """Writes records as JSON lines or indented human text."""
+    """Writes records as JSON lines or indented human text; `human` builds
+    a record's text lines and is called in human mode only."""
 
     def __init__(self, fmt: str, stream=None):
         self.fmt = fmt
         self.stream = stream if stream is not None else sys.stdout
 
-    def emit(self, record: dict, human: Sequence[str]) -> None:
+    def emit(self, record: dict, human: Callable[[], Sequence[str]]) -> None:
         if self.fmt == "structured":
             print(
                 json.dumps(record, sort_keys=True, separators=(",", ":")),
                 file=self.stream,
             )
         else:
-            for line in human:
+            for line in human():
                 print(line, file=self.stream)
 
 
@@ -374,9 +375,7 @@ def cmd_surface(paths: Sequence[str], emitter: Emitter) -> int:
     for stmt in _collect(paths):
         if not isinstance(stmt, SurfaceStmt):
             continue
-        info = analyze(stmt.scheme)
-        nf = normalize(stmt.scheme)
-        form = surface_form(stmt.scheme)
+        info, normal, form = classify(stmt.scheme)
         record = {
             "record": "surface",
             "name": stmt.name,
@@ -385,20 +384,18 @@ def cmd_surface(paths: Sequence[str], emitter: Emitter) -> int:
             "orientable": info.orientable,
             "betti1": info.betti1_mod2,
             "vertex_count": info.vertex_count,
-            "normal_form": nf.text(),
+            "normal_form": normal.text(),
             "form_basis": list(form.basis_labels),
             "gram": form.gram.to_lists(),
         }
-        human = [
-            f"surface {stmt.name}: {stmt.scheme.text()}",
+        emitter.emit(record, lambda: [
+            f"surface {stmt.name}: {record['word']}",
             f"  euler characteristic {info.euler_char},"
             f" {'orientable' if info.orientable else 'non-orientable'},"
             f" {info.vertex_count} vertex(es), b1 = {info.betti1_mod2}",
-            f"  normal form: {nf.text()}",
-            f"  intersection form on {list(form.basis_labels)}:"
-            f" {form.gram.to_lists()}",
-        ]
-        emitter.emit(record, human)
+            f"  normal form: {record['normal_form']}",
+            f"  intersection form on {record['form_basis']}: {record['gram']}",
+        ])
     return 0
 
 
@@ -434,12 +431,12 @@ def _attach_enhancements(
         raise PreconditionError(
             "no enhancements given; add enhance lines or --enhance"
         )
+    form_of = functools.cache(surface_form)  # one form per surface
     out = []
     for surf, enh in pairs:
-        form = surface_form(surf.scheme)
         values = dict(enh.values)
         try:
-            q = Enhancement(form, values)
+            q = Enhancement(form_of(surf.scheme), values)
         except ParityViolation:
             raise
         except ValueError as exc:
@@ -475,18 +472,16 @@ def cmd_arf_brown(
             "gauss_sum": list(total.coefficients),
             "arf": arf_value,
         }
-        shown = " ".join(f"{k}={v % 4}" for k, v in values.items()) or "(empty)"
-        human = [
-            f"arf-brown {surf.name} with q: {shown}",
+        emitter.emit(record, lambda: [
+            f"arf-brown {surf.name} with q:"
+            f" {' '.join(f'{k}={v % 4}' for k, v in values.items()) or '(empty)'}",
             f"  exponent {root.exponent}: value {_render_root(root.exponent)}",
             f"  gauss sum {_render_cyc8(total)}"
             f" (coefficients {list(total.coefficients)})",
-        ]
-        if arf_value is None:
-            human.append("  arf invariant: undefined (odd values present)")
-        else:
-            human.append(f"  arf invariant {arf_value}")
-        emitter.emit(record, human)
+            "  arf invariant: undefined (odd values present)"
+            if arf_value is None
+            else f"  arf invariant {arf_value}",
+        ])
     return 0
 
 
@@ -529,26 +524,21 @@ def cmd_majorana(paths: Sequence[str], cap_n: int, emitter: Emitter) -> int:
             "expected_parity": want_parity,
             "verdict": verdict,
         }
-        bits_text = " ".join(str(b) for b in stmt.bits)
-        orient = "+" if stmt.orientation == 1 else "-"
-        head = (
-            f"majorana {stmt.name} ({stmt.kind}, bits {bits_text},"
-            f" orientation {orient})"
-        )
-        if circle_class is not None:
-            head += f": {circle_class}"
-        spectrum_text = ", ".join(
-            f"{_render_fraction(value)} x{mult}" for value, mult in report.spectrum
-        )
-        human = [
-            head,
+        emitter.emit(record, lambda: [
+            f"majorana {stmt.name} ({stmt.kind},"
+            f" bits {' '.join(str(b) for b in stmt.bits)},"
+            f" orientation {record['orientation']})"
+            + ("" if circle_class is None else f": {circle_class}"),
             f"  ground: dimension {report.ground_dimension},"
             f" parity {report.ground_parity},"
             f" min eigenvalue {_render_fraction(report.min_eigenvalue)}",
-            f"  spectrum: {spectrum_text}",
+            "  spectrum: "
+            + ", ".join(
+                f"{_render_fraction(value)} x{mult}"
+                for value, mult in report.spectrum
+            ),
             f"  expected dimension {want_dim}, parity {want_parity}: {verdict}",
-        ]
-        emitter.emit(record, human)
+        ])
     return 0
 
 
@@ -565,12 +555,11 @@ def cmd_tqft(
         "euler_weight": _enc_gaussian(theory.euler_weight),
         "stable": is_stable(theory),
     }
-    human = [
+    emitter.emit(record, lambda: [
         f"theory: ab_power {theory.ab_power},"
         f" euler weight {_render_gaussian(theory.euler_weight)}"
-        f" ({'stable' if is_stable(theory) else 'unstable'})"
-    ]
-    emitter.emit(record, human)
+        f" ({'stable' if record['stable'] else 'unstable'})"
+    ])
 
     statements = _collect(paths)
     enhanced = []
@@ -587,7 +576,7 @@ def cmd_tqft(
                     "name": stmt.name,
                     "algebra_generators": k,
                 },
-                [f"point {stmt.name}: Clifford algebra on {k} generator(s)"],
+                lambda: [f"point {stmt.name}: Clifford algebra on {k} generator(s)"],
             )
         elif isinstance(stmt, ComponentStmt):
             if stmt.kind == "interval":
@@ -605,7 +594,7 @@ def cmd_tqft(
                     "class": cls.value,
                     "parity": line.parity,
                 },
-                [f"circle {stmt.name}: {cls.value}, {line.parity} line"],
+                lambda: [f"circle {stmt.name}: {cls.value}, {line.parity} line"],
             )
     for surf, q, values in enhanced:
         _check_cap("form dimension", q.dim, cap_dim, "--cap-dim")
@@ -618,7 +607,7 @@ def cmd_tqft(
                 "exponent": value.root.exponent,
                 "euler_factor": _enc_gaussian(value.euler_factor),
             },
-            [
+            lambda: [
                 f"surface {surf.name}: {_render_root(value.root.exponent)},"
                 f" euler factor {_render_gaussian(value.euler_factor)}"
             ],
@@ -631,7 +620,7 @@ def cmd_tqft(
                 "exponent": total.root.exponent,
                 "euler_factor": _enc_gaussian(total.euler_factor),
             },
-            [
+            lambda: [
                 f"total over {len(enhanced)} surface(s):"
                 f" {_render_root(total.root.exponent)},"
                 f" euler factor {_render_gaussian(total.euler_factor)}"
@@ -650,7 +639,7 @@ def cmd_selftest(emitter: Emitter) -> int:
                 "passed": check.passed,
                 "detail": check.detail,
             },
-            [
+            lambda: [
                 f"check {check.name}:"
                 f" {'pass' if check.passed else 'FAIL'} ({check.detail})"
             ],

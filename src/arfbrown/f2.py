@@ -32,6 +32,10 @@ class OddDimension(ValueError):
     """A symplectic basis needs an even-dimensional space."""
 
 
+# the digits of a binary numeral, as the bytes 0 and 1
+_BITS = bytes.maketrans(b"01", b"\x00\x01")
+
+
 class F2Vector:
     """An immutable vector over GF(2) of fixed length."""
 
@@ -71,7 +75,10 @@ class F2Vector:
 
     @property
     def bits(self) -> tuple[int, ...]:
-        return tuple((self._mask >> i) & 1 for i in range(self._n))
+        # a sentinel bit above the top keeps the leading zeros; the numeral
+        # read backwards, short of its "0b1", is bit 0 first
+        digits = bin(self._mask | 1 << self._n)[:2:-1]
+        return tuple(digits.encode().translate(_BITS))
 
     def __len__(self) -> int:
         return self._n
@@ -116,7 +123,7 @@ class F2Vector:
         return hash((self._mask, self._n))
 
     def __repr__(self) -> str:
-        return f"F2Vector([{', '.join(str(b) for b in self.bits)}])"
+        return f"F2Vector({list(self.bits)})"
 
 
 class F2Matrix:

@@ -6,7 +6,9 @@ This module computes the Euler characteristic, orientability, the canonical
 word from the classification of surfaces, and the mod-2 intersection form on
 first homology, on which enhancements live: a one-vertex word's own form
 (``intersection_form``), or for any word the form of a one-vertex word of the
-same surface (``surface_form``).  Each is one pass over the word.
+same surface (``surface_form``).  Each is one pass over the word;
+``classify`` gives the classification, the canonical word and
+``surface_form`` from one ``analyze``.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ __all__ = [
     "IntersectionForm",
     "analyze",
     "normalize",
+    "classify",
     "orientable_scheme",
     "nonorientable_scheme",
     "intersection_form",
@@ -277,6 +280,13 @@ def intersection_form(s: GluingScheme) -> IntersectionForm:
             f"scheme has {info.vertex_count} vertices; normalize first"
         )
     return _form(s, info)
+
+
+def classify(s: GluingScheme) -> tuple[SurfaceInfo, GluingScheme, IntersectionForm]:
+    """``analyze``, ``normalize`` and ``surface_form`` of s, from one pass."""
+    info = analyze(s)
+    normal = _canonical_word(info)
+    return info, normal, _form(s if info.vertex_count == 1 else normal, info)
 
 
 def surface_form(s: GluingScheme) -> IntersectionForm:

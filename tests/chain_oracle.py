@@ -17,6 +17,16 @@ from arfbrown.exactla import rational_nullity
 from arfbrown.majorana import GroundStateReport, IntervalReport
 
 
+def identity(dim: int) -> SignedPerm:
+    """The identity on a dim-vector basis."""
+    return SignedPerm(np.arange(dim, dtype=np.int64), np.ones(dim, dtype=np.int64))
+
+
+def negate(op: SignedPerm) -> SignedPerm:
+    """-op: same targets, opposite signs."""
+    return SignedPerm(op.target, -op.sign)
+
+
 def apply(op: SignedPerm, vec: np.ndarray) -> np.ndarray:
     """The image of an integer vector."""
     out = np.empty_like(vec)
@@ -36,7 +46,7 @@ def edge_terms(setup, c, d):
     """T_e = (-1)^{t(e)} c_head d_tail for every edge, in edge order, built
     from the generators and not from the package's edge words."""
     terms = [(c[head].after(d[tail]), bit) for tail, head, bit in setup.edges]
-    return [-term if bit else term for term, bit in terms]
+    return [negate(term) if bit else term for term, bit in terms]
 
 
 _PARITY = {(0,): "even", (1,): "odd", (0, 1): "mixed"}
@@ -54,7 +64,7 @@ def ground_data(setup):
     dim = 1 << n
     terms = edge_terms(setup, *majoranas(n))
     edge_count = len(terms)
-    ident = SignedPerm.identity(dim)
+    ident = identity(dim)
     for i, term in enumerate(terms):
         assert same(term.after(term), ident), "an edge term does not square to 1"
         for u in terms[i + 1 :]:

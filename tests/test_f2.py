@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from arfbrown.f2 import (
     Degenerate,
@@ -22,6 +24,41 @@ def test_vector_construction_and_mask():
     assert len(v) == 4
     assert v[0] == 1 and v[1] == 0
     assert F2Vector.from_mask(v.mask, 4) == v
+
+
+def _shifted(mask: int, n: int) -> tuple[int, ...]:
+    return tuple((mask >> i) & 1 for i in range(n))
+
+
+def _check_bits(v: F2Vector, mask: int, n: int) -> None:
+    want = _shifted(mask, n)
+    assert v.bits == want and tuple(v) == want
+    assert repr(v) == f"F2Vector([{', '.join(str(b) for b in want)}])"
+
+
+def test_bits_agree_with_the_per_bit_shift():
+    # every mask of length n <= 10, also with junk above bit n
+    for n in range(11):
+        for mask in range(1 << n):
+            _check_bits(F2Vector.from_mask(mask, n), mask, n)
+            _check_bits(F2Vector.from_mask(mask | 0b101 << n, n), mask, n)
+            _check_bits(F2Vector(_shifted(mask, n)), mask, n)
+    assert F2Vector([]).bits == () and repr(F2Vector([])) == "F2Vector([])"
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(st.integers(0, 200).flatmap(
+    lambda n: st.tuples(st.just(n), st.integers(0, (1 << (n + 8)) - 1))
+))
+def test_bits_agree_with_the_per_bit_shift_up_to_200(case):
+    n, mask = case
+    _check_bits(F2Vector.from_mask(mask, n), mask, n)
+    _check_bits(F2Vector(_shifted(mask, n)), mask, n)
+    rows = [F2Vector.from_mask(mask >> k, n) for k in range(3)]
+    matrix = F2Matrix(rows, ncols=n)
+    want = [list(_shifted(mask >> k, n)) for k in range(3)]
+    assert matrix.to_lists() == want
+    assert repr(matrix) == f"F2Matrix({want})"
 
 
 def test_vector_addition_is_xor():

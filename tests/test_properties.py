@@ -6,7 +6,14 @@ from hypothesis import strategies as st
 
 from arfbrown.f2 import F2Matrix, F2Vector
 from arfbrown.quadform import Enhancement, arf_brown, evaluate, gauss_sum
-from arfbrown.surface import GluingScheme, IntersectionForm
+from arfbrown.surface import (
+    GluingScheme,
+    IntersectionForm,
+    analyze,
+    classify,
+    normalize,
+    surface_form,
+)
 from gauss_oracle import block_sum, enumerated_gauss_sum, root_of_gauss_sum
 from surface_oracle import assert_matches_oracle, vertex_count
 
@@ -108,3 +115,9 @@ def one_vertex_words(draw, max_letters: int):
 @given(st.one_of(gluing_words(60), one_vertex_words(60)))
 def test_one_pass_surface_scans_match_oracle(s):
     assert_matches_oracle(s)
+
+
+@_SETTINGS
+@given(st.one_of(gluing_words(60), one_vertex_words(60)))
+def test_classify_is_analyze_normalize_and_surface_form(s):
+    assert classify(s) == (analyze(s), normalize(s), surface_form(s))
