@@ -24,9 +24,8 @@ import functools
 import json
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .clifford import GaussianRational
 from .errors import CapExceeded
@@ -73,24 +72,21 @@ _WORD_TOKEN = re.compile(r"[A-Za-z][A-Za-z0-9]*'?$")
 _NAME_TOKEN = re.compile(r"[A-Za-z0-9_.-]+$")
 
 
-@dataclass(frozen=True)
-class SurfaceStmt:
+class SurfaceStmt(NamedTuple):
     name: str
     scheme: GluingScheme
     path: str
     line: int
 
 
-@dataclass(frozen=True)
-class EnhanceStmt:
+class EnhanceStmt(NamedTuple):
     name: str
     values: tuple[tuple[str, int], ...]
     path: str
     line: int
 
 
-@dataclass(frozen=True)
-class ComponentStmt:
+class ComponentStmt(NamedTuple):
     name: str
     kind: str
     bits: tuple[int, ...]
@@ -99,8 +95,7 @@ class ComponentStmt:
     line: int
 
 
-@dataclass(frozen=True)
-class PointStmt:
+class PointStmt(NamedTuple):
     name: str
     path: str
     line: int
@@ -235,8 +230,13 @@ def parse_theory(text: str) -> TheoryClass:
     tokens = _tokens(text)
     ab = None
     euler: GaussianRational | int = 1
+    euler_col = 1
+    seen = set()
     for tok, col in tokens:
         key, eq, raw = tok.partition("=")
+        if eq and key in seen:
+            raise ParseError(f"theory field {key!r} assigned twice", path, 1, col)
+        seen.add(key)
         if key == "ab" and eq:
             try:
                 ab = int(raw)
@@ -251,6 +251,7 @@ def parse_theory(text: str) -> TheoryClass:
                 raise ParseError(
                     f"bad Gaussian rational {raw!r}", path, 1, col
                 ) from None
+            euler_col = col
         else:
             raise ParseError(f"unknown theory field {tok!r}", path, 1, col)
     if ab is None:
@@ -258,7 +259,7 @@ def parse_theory(text: str) -> TheoryClass:
     try:
         return TheoryClass(ab, euler)
     except ValueError as exc:
-        raise ParseError(str(exc), path, 1) from exc
+        raise ParseError(str(exc), path, 1, euler_col) from exc
 
 
 def _parse_gaussian(text: str) -> GaussianRational:
@@ -404,12 +405,17 @@ def _attach_enhancements(
 ) -> list[tuple[SurfaceStmt, Enhancement, dict[str, int]]]:
     """Pair each enhancement with its surface and build it on the form."""
     surfaces: dict[str, SurfaceStmt] = {}
-    order: list[SurfaceStmt] = []
     pairs: list[tuple[SurfaceStmt, EnhanceStmt]] = []
     for stmt in statements:
         if isinstance(stmt, SurfaceStmt):
-            surfaces[stmt.name] = stmt
-            order.append(stmt)
+            first = surfaces.setdefault(stmt.name, stmt)
+            if first is not stmt:
+                raise ParseError(
+                    f"surface {stmt.name!r} is already defined at"
+                    f" {first.path}:{first.line}",
+                    stmt.path,
+                    stmt.line,
+                )
         elif isinstance(stmt, EnhanceStmt):
             if stmt.name not in surfaces:
                 raise ParseError(
@@ -419,14 +425,15 @@ def _attach_enhancements(
                 )
             pairs.append((surfaces[stmt.name], stmt))
     for spec in inline_specs:
-        if len(order) != 1:
+        if len(surfaces) != 1:
             raise ParseError(
                 "--enhance needs exactly one surface in the input files",
                 "<enhance>",
                 1,
             )
+        (surf,) = surfaces.values()
         values = _parse_enhance_payload(_tokens(spec), "<enhance>", 1)
-        pairs.append((order[0], EnhanceStmt(order[0].name, values, "<enhance>", 1)))
+        pairs.append((surf, EnhanceStmt(surf.name, values, "<enhance>", 1)))
     if not pairs:
         raise PreconditionError(
             "no enhancements given; add enhance lines or --enhance"

@@ -21,10 +21,9 @@ module that needs numpy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from .clifford import evaluate_on_empty
 from .exactla import rational_nullity
@@ -165,8 +164,7 @@ def doubled_hamiltonian(setup: ChainSetup) -> np.ndarray:
     return _dense.dense_sum(_edge_terms(setup), *_dense.majoranas(n), 1 << n)
 
 
-@dataclass(frozen=True)
-class GroundStateReport:
+class GroundStateReport(NamedTuple):
     min_eigenvalue: Fraction
     ground_dimension: int
     ground_parity: str
@@ -218,8 +216,7 @@ def epsilon_operator(setup: ChainSetup) -> np.ndarray:
     return _dense.render(_epsilon_word(n), *_dense.majoranas(n)).to_matrix()
 
 
-@dataclass(frozen=True, eq=False)
-class ReferenceModule:
+class ReferenceModule(NamedTuple):
     """Operators on the edge-indexed tensor module A.
 
     A is the tensor product over edges of a two-state factor; its basis is
@@ -233,6 +230,9 @@ class ReferenceModule:
     d: dict[int, np.ndarray]
     epsilon: np.ndarray
     doubled_hamiltonian: np.ndarray
+
+    # numpy arrays have no truth value, so a module equals only itself
+    __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__
 
 
 def reference_module(setup: ChainSetup) -> ReferenceModule:
@@ -261,8 +261,7 @@ def reference_module(setup: ChainSetup) -> ReferenceModule:
     )
 
 
-@dataclass(frozen=True)
-class IntervalReport:
+class IntervalReport(NamedTuple):
     ground_dimension: int
     parity_split: tuple[int, int]
     boundary_commutes: bool

@@ -13,9 +13,8 @@ same surface (``surface_form``).  Each is one pass over the word;
 
 from __future__ import annotations
 
-import string
-from dataclasses import dataclass
-from typing import Iterable
+from itertools import count
+from typing import Iterable, NamedTuple
 
 from .f2 import F2Matrix, F2Vector
 
@@ -71,6 +70,13 @@ class GluingScheme:
         self._word = w
 
     @classmethod
+    def _unchecked(cls, word: list[tuple[str, int]]) -> GluingScheme:
+        """A scheme from a word that is valid by construction."""
+        s = object.__new__(cls)
+        s._word = tuple(word)
+        return s
+
+    @classmethod
     def from_text(cls, text: str) -> GluingScheme:
         """Parse a whitespace-separated word, apostrophe = inverse."""
         word = []
@@ -112,16 +118,14 @@ class GluingScheme:
         return f"GluingScheme.from_text({self.text()!r})"
 
 
-@dataclass(frozen=True)
-class SurfaceInfo:
+class SurfaceInfo(NamedTuple):
     euler_char: int
     orientable: bool
     betti1_mod2: int
     vertex_count: int
 
 
-@dataclass(frozen=True)
-class IntersectionForm:
+class IntersectionForm(NamedTuple):
     """The mod-2 intersection pairing on H_1, as a Gram matrix over GF(2)."""
 
     basis_labels: tuple[str, ...]
@@ -176,14 +180,14 @@ def analyze(s: GluingScheme) -> SurfaceInfo:
     )
 
 
+_ALPHABET = "abcdefghijklmnopqrstuvwxyz"
+
+
 def _letter_names() -> Iterable[str]:
-    for ch in string.ascii_lowercase:
-        yield ch
-    i = 1
-    while True:
-        for ch in string.ascii_lowercase:
+    yield from _ALPHABET
+    for i in count(1):
+        for ch in _ALPHABET:
             yield f"{ch}{i}"
-        i += 1
 
 
 def orientable_scheme(genus: int) -> GluingScheme:
@@ -197,12 +201,12 @@ def orientable_scheme(genus: int) -> GluingScheme:
     names = _letter_names()
     if genus == 0:
         a = next(names)
-        return GluingScheme([(a, 1), (a, -1)])
+        return GluingScheme._unchecked([(a, 1), (a, -1)])
     word: list[tuple[str, int]] = []
     for _ in range(genus):
         a, b = next(names), next(names)
         word += [(a, 1), (b, 1), (a, -1), (b, -1)]
-    return GluingScheme(word)
+    return GluingScheme._unchecked(word)
 
 
 def nonorientable_scheme(crosscaps: int) -> GluingScheme:
@@ -214,7 +218,7 @@ def nonorientable_scheme(crosscaps: int) -> GluingScheme:
     for _ in range(crosscaps):
         a = next(names)
         word += [(a, 1), (a, 1)]
-    return GluingScheme(word)
+    return GluingScheme._unchecked(word)
 
 
 def _canonical_word(info: SurfaceInfo) -> GluingScheme:

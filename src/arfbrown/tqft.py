@@ -12,9 +12,8 @@ powers add mod 8, weights multiply.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .clifford import GaussianRational, Signature
 from .majorana import ChainSetup, ground_states
@@ -87,22 +86,19 @@ class TheoryClass:
         return f"TheoryClass(ab_power={self._ab_power}, euler_weight={self._euler_weight!r})"
 
 
-@dataclass(frozen=True)
-class SuperalgebraValue:
+class SuperalgebraValue(NamedTuple):
     """The value on a point: a Clifford algebra, named by its signature."""
 
     signature: Signature
 
 
-@dataclass(frozen=True)
-class SuperLineValue:
+class SuperLineValue(NamedTuple):
     """The value on a circle: a line of definite parity."""
 
     parity: str
 
 
-@dataclass(frozen=True)
-class PartitionValue:
+class PartitionValue(NamedTuple):
     """The value on closed surfaces: an eighth root of unity times the
     Euler weight raised to the total Euler characteristic."""
 
@@ -161,15 +157,13 @@ def is_stable(t: TheoryClass) -> bool:
     return t.euler_weight == 1 or t.euler_weight == -1
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     passed: bool
     detail: str
 
 
-@dataclass(frozen=True)
-class ConsistencyReport:
+class ConsistencyReport(NamedTuple):
     checks: tuple[CheckResult, ...]
 
     @property

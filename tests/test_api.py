@@ -98,3 +98,27 @@ def test_command_line_runs_without_numpy():
         timeout=120,
     )
     assert done.returncode == 0, done.stderr
+
+
+# the record types are named tuples, so starting the command line compiles
+# no generated dataclass code and loads neither module
+_CLI_WITHOUT_DATACLASSES = """
+import sys
+import arfbrown.cli as cli
+cli.build_parser()
+loaded = sorted({"dataclasses", "inspect"} & set(sys.modules))
+assert not loaded, f"starting the command line loaded {loaded}"
+"""
+
+
+def test_command_line_starts_without_dataclasses():
+    src = str(Path(arfbrown.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run(
+        [sys.executable, "-c", _CLI_WITHOUT_DATACLASSES],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr

@@ -387,3 +387,29 @@ def test_second_main_call_builds_no_parser(tmp_path, capsys, monkeypatch):
     assert built == []
     build_parser.__wrapped__()
     assert len(built) == 7
+
+
+@pytest.mark.parametrize(
+    "spec, col",
+    [("ab=1 ab=2", 6), ("ab=1 euler=2 euler=3", 14), ("euler=2 ab=1 euler=2", 14)],
+)
+def test_repeated_theory_field_is_exit_2_at_the_repeat(tmp_path, capsys, spec, col):
+    path = _write(tmp_path, "c.surf", "circle c: 0\n")
+    assert main(["tqft", spec, path]) == 2
+    assert f"<theory>:1:{col}: theory field" in capsys.readouterr().err
+
+
+def test_zero_euler_weight_is_reported_at_its_token(capsys):
+    assert main(["tqft", "ab=1 euler=0i"]) == 2
+    assert "<theory>:1:6: the Euler weight must be nonzero" in capsys.readouterr().err
+
+
+def test_redefined_surface_name_is_exit_2_at_the_second_definition(tmp_path, capsys):
+    first = _write(tmp_path, "a.surf", "surface T: a b a' b'\nenhance T: a=2 b=2\n")
+    second = _write(tmp_path, "b.surf", "# again\nsurface T: a a\nenhance T: a=1\n")
+    for argv in (["arf-brown", first, second], ["tqft", "ab=1", first, second]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"{second}:2:1: surface 'T' is already defined at {first}:1" in err
+    assert main(["surface", "--format", "structured", first, second]) == 0
+    assert [r["word"] for r in _records(capsys)] == ["a b a' b'", "a a"]

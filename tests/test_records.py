@@ -1,0 +1,163 @@
+"""The fourteen record types (results, reports and parsed statements):
+construction, immutability, value equality, and the repr of four of them."""
+
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+from arfbrown.cli import ComponentStmt, EnhanceStmt, PointStmt, SurfaceStmt
+from arfbrown.clifford import GaussianRational, Signature
+from arfbrown.f2 import F2Matrix
+from arfbrown.majorana import (
+    ChainSetup,
+    GroundStateReport,
+    IntervalReport,
+    ReferenceModule,
+    ground_states,
+    interval_bimodule_check,
+    reference_module,
+)
+from arfbrown.quadform import RootOfUnity8
+from arfbrown.surface import GluingScheme, IntersectionForm, SurfaceInfo, analyze
+from arfbrown.tqft import (
+    CheckResult,
+    ConsistencyReport,
+    PartitionValue,
+    SuperalgebraValue,
+    SuperLineValue,
+    consistency_report,
+)
+
+# each record type with a function that builds fresh field values, by name
+VALUES = {
+    SurfaceStmt: lambda: {
+        "name": "T",
+        "scheme": GluingScheme.from_text("a b a' b'"),
+        "path": "t.surf",
+        "line": 1,
+    },
+    EnhanceStmt: lambda: {
+        "name": "T", "values": (("a", 2), ("b", 0)), "path": "t.surf", "line": 2,
+    },
+    ComponentStmt: lambda: {
+        "name": "c",
+        "kind": "circle",
+        "bits": (1, 0),
+        "orientation": -1,
+        "path": "t.surf",
+        "line": 3,
+    },
+    PointStmt: lambda: {"name": "p", "path": "t.surf", "line": 4},
+    GroundStateReport: lambda: {
+        "min_eigenvalue": Fraction(-1, 2),
+        "ground_dimension": 1,
+        "ground_parity": "odd",
+        "spectrum": ((Fraction(-1, 2), 1), (Fraction(1, 2), 1)),
+    },
+    ReferenceModule: lambda: {
+        "vertex_count": 1,
+        "c": {0: np.array([[0, 1], [1, 0]])},
+        "d": {0: np.array([[0, -1], [1, 0]])},
+        "epsilon": np.diag([1, -1]),
+        "doubled_hamiltonian": np.diag([-1, 1]),
+    },
+    IntervalReport: lambda: {
+        "ground_dimension": 2,
+        "parity_split": (1, 1),
+        "boundary_commutes": True,
+        "plus_squares_to_identity": True,
+        "minus_squares_to_minus_identity": True,
+        "generators_anticommute": True,
+        "commutant_dimension": 1,
+        "irreducible": True,
+        "passed": True,
+    },
+    SurfaceInfo: lambda: {
+        "euler_char": 0, "orientable": True, "betti1_mod2": 2, "vertex_count": 1,
+    },
+    IntersectionForm: lambda: {
+        "basis_labels": ("a", "b"), "gram": F2Matrix([[0, 1], [1, 0]]),
+    },
+    SuperalgebraValue: lambda: {"signature": Signature.cl(2)},
+    SuperLineValue: lambda: {"parity": "even"},
+    PartitionValue: lambda: {
+        "root": RootOfUnity8(3), "euler_factor": GaussianRational(2),
+    },
+    CheckResult: lambda: {"name": "x", "passed": True, "detail": "ok"},
+    ConsistencyReport: lambda: {"checks": (CheckResult("x", True, "ok"),)},
+}
+
+RECORDS = pytest.mark.parametrize("cls", list(VALUES), ids=lambda c: c.__name__)
+
+
+@RECORDS
+def test_keyword_and_positional_construction_agree(cls):
+    fields = VALUES[cls]()
+    by_name = cls(**fields)
+    by_position = cls(*fields.values())
+    for name, value in fields.items():
+        assert getattr(by_name, name) is value
+        assert getattr(by_position, name) is value
+
+
+@RECORDS
+def test_fields_cannot_be_assigned(cls):
+    fields = VALUES[cls]()
+    record = cls(**fields)
+    for name in fields:
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+
+
+@pytest.mark.parametrize(
+    "cls", [c for c in VALUES if c is not ReferenceModule], ids=lambda c: c.__name__
+)
+def test_equal_values_are_equal_records(cls):
+    a, b = cls(**VALUES[cls]()), cls(**VALUES[cls]())
+    assert a == b and not a != b
+    assert hash(a) == hash(b)
+    assert len({a, b}) == 1
+
+
+def test_reference_module_compares_by_identity():
+    a, b = (reference_module(ChainSetup.circle([1, 0, 1])) for _ in range(2))
+    assert a == a and not a != a
+    assert a != b and not a == b
+    assert hash(a) == hash(a)
+    assert len({a, b}) == 2
+    fields = VALUES[ReferenceModule]()
+    assert ReferenceModule(**fields) != ReferenceModule(**fields)
+
+
+def test_derived_properties():
+    assert IntersectionForm(**VALUES[IntersectionForm]()).dim == 2
+    assert ConsistencyReport((CheckResult("x", True, ""),)).all_passed
+    assert not ConsistencyReport(
+        (CheckResult("x", True, ""), CheckResult("y", False, ""))
+    ).all_passed
+
+
+# repr texts recorded when the records were frozen dataclasses
+def test_repr_texts_are_unchanged():
+    assert repr(analyze(GluingScheme.from_text("a b c a b c"))) == (
+        "SurfaceInfo(euler_char=1, orientable=False, betti1_mod2=1, vertex_count=3)"
+    )
+    assert repr(ground_states(ChainSetup.circle([1, 0, 1]))) == (
+        "GroundStateReport(min_eigenvalue=Fraction(-3, 2), ground_dimension=1,"
+        " ground_parity='odd', spectrum=((Fraction(-3, 2), 1), (Fraction(-1, 2), 3),"
+        " (Fraction(1, 2), 3), (Fraction(3, 2), 1)))"
+    )
+    assert repr(interval_bimodule_check(ChainSetup.interval([1, 0]))) == (
+        "IntervalReport(ground_dimension=2, parity_split=(1, 1),"
+        " boundary_commutes=True, plus_squares_to_identity=True,"
+        " minus_squares_to_minus_identity=True, generators_anticommute=True,"
+        " commutant_dimension=1, irreducible=True, passed=True)"
+    )
+    assert repr(consistency_report().checks[1]) == (
+        "CheckResult(name='torus framing value', passed=True,"
+        " detail='exponent 4 (want 4, the value -1)')"
+    )
+    assert repr(CheckResult("x", False, "it's \"q\"")) == (
+        "CheckResult(name='x', passed=False, detail='it\\'s \"q\"')"
+    )

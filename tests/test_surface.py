@@ -60,6 +60,16 @@ def test_canonical_scheme_constructors():
         orientable_scheme(-1)
 
 
+def test_canonical_words_pass_the_validating_constructor():
+    # the canonical words are built without the checks
+    schemes = [orientable_scheme(g) for g in range(21)]
+    schemes += [nonorientable_scheme(k) for k in range(1, 41)]
+    for s in schemes:
+        checked = GluingScheme(s.word)
+        assert checked == s and hash(checked) == hash(s)
+        assert checked.text() == s.text()
+
+
 def test_normalize_is_canonical():
     s = GluingScheme.from_text("a b a b'")
     assert normalize(s).text() == nonorientable_scheme(2).text()

@@ -131,3 +131,19 @@ def test_one_form_per_surface_for_its_enhancements(tmp_path, capsys, monkeypatch
     assert forms == ["a a b b"]
     records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
     assert [r["exponent"] for r in records] == [0, 6]
+
+
+def test_one_validating_construction_per_surface_statement(
+    tmp_path, capsys, monkeypatch
+):
+    built = []
+    init = surface.GluingScheme.__init__
+
+    def counting(self, word):
+        init(self, word)
+        built.append(self.text())
+
+    monkeypatch.setattr(surface.GluingScheme, "__init__", counting)
+    assert main(["surface", "--format", "structured", _write(tmp_path, WORDS)]) == 0
+    assert built == ["a a'", "a b a' b'", "a b c a b c", "a a b b c c"]
+    assert len(capsys.readouterr().out.splitlines()) == 4
