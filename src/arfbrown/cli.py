@@ -263,21 +263,17 @@ def parse_theory(text: str) -> TheoryClass:
 
 
 def _parse_gaussian(text: str) -> GaussianRational:
-    """Literals like 2, -1/2, i, -i, 3i, 1+i, -1/2-3/4i."""
+    """Literals like 2, -1/2, i, -i, 3i, 1+i, -1/2-3/4i, 2+1e-3i."""
     if text.endswith("i"):
         body = text[:-1]
         re_part, im_part = "0", body
         for k in range(len(body) - 1, 0, -1):
-            if body[k] in "+-" and body[k - 1] not in "+-/":
+            if body[k] in "+-" and body[k - 1] not in "+-/eE":
                 re_part, im_part = body[:k], body[k:]
                 break
-        if im_part in ("", "+"):
-            im = Fraction(1)
-        elif im_part == "-":
-            im = Fraction(-1)
-        else:
-            im = Fraction(im_part)
-        return GaussianRational(Fraction(re_part), im)
+        if im_part in ("", "+", "-"):
+            im_part += "1"
+        return GaussianRational(Fraction(re_part), Fraction(im_part))
     return GaussianRational(Fraction(text))
 
 
@@ -438,12 +434,11 @@ def _attach_enhancements(
         raise PreconditionError(
             "no enhancements given; add enhance lines or --enhance"
         )
-    form_of = functools.cache(surface_form)  # one form per surface
     out = []
     for surf, enh in pairs:
         values = dict(enh.values)
         try:
-            q = Enhancement(form_of(surf.scheme), values)
+            q = Enhancement(surface_form(surf.scheme), values)
         except ParityViolation:
             raise
         except ValueError as exc:

@@ -16,6 +16,7 @@ products, the grading operator and 2x2 supermatrix representations of the
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 __all__ = [
@@ -48,93 +49,96 @@ class UnpairedSignature(ValueError):
 
 
 class GaussianRational:
-    """An element of Q(i), held as an exact (real, imaginary) pair."""
+    """An element of Q(i), held as a reduced integer triple (a + b i) / d.
 
-    __slots__ = ("_re", "_im")
+    The denominator d is positive and gcd(a, b, d) = 1, so equal values
+    have equal triples and every operation is integer arithmetic with at
+    most one gcd.
+    """
+
+    __slots__ = ("_a", "_b", "_d")
 
     def __init__(self, re: Fraction | int = 0, im: Fraction | int = 0):
-        self._re = Fraction(re)
-        self._im = Fraction(im)
+        re, im = Fraction(re), Fraction(im)
+        d = lcm(re.denominator, im.denominator)  # reduced parts give a reduced triple
+        self._a, self._b, self._d = int(re * d), int(im * d), d
 
     @classmethod
     def zero(cls) -> GaussianRational:
-        return cls()
+        return _reduced(0, 0, 1)
 
     @classmethod
     def one(cls) -> GaussianRational:
-        return cls(1)
+        return _reduced(1, 0, 1)
 
     @classmethod
     def i(cls) -> GaussianRational:
-        return cls(0, 1)
+        return _reduced(0, 1, 1)
 
     @classmethod
     def coerce(cls, value: GaussianRational | Fraction | int) -> GaussianRational:
-        if isinstance(value, GaussianRational):
-            return value
-        if isinstance(value, (Fraction, int)):
-            return cls(value)
-        raise TypeError(f"cannot interpret {value!r} as a Gaussian rational")
+        z = _operand(value)
+        if z is None:
+            raise TypeError(f"cannot interpret {value!r} as a Gaussian rational")
+        return z
 
     @property
     def re(self) -> Fraction:
-        return self._re
+        return Fraction(self._a, self._d)
 
     @property
     def im(self) -> Fraction:
-        return self._im
+        return Fraction(self._b, self._d)
 
     def __add__(self, other: GaussianRational | Fraction | int) -> GaussianRational:
-        if isinstance(other, (Fraction, int)):
-            other = GaussianRational(other)
-        if not isinstance(other, GaussianRational):
+        other = _operand(other)
+        if other is None:
             return NotImplemented
-        return GaussianRational(self._re + other._re, self._im + other._im)
+        d, e = self._d, other._d
+        a, b = self._a * e + other._a * d, self._b * e + other._b * d
+        return _reduced(a, b, d * e)
 
     __radd__ = __add__
 
     def __sub__(self, other: GaussianRational | Fraction | int) -> GaussianRational:
-        if isinstance(other, (Fraction, int)):
-            other = GaussianRational(other)
-        if not isinstance(other, GaussianRational):
+        other = _operand(other)
+        if other is None:
             return NotImplemented
-        return GaussianRational(self._re - other._re, self._im - other._im)
+        return self + -other
 
     def __rsub__(self, other: Fraction | int) -> GaussianRational:
         return GaussianRational(other) - self
 
     def __neg__(self) -> GaussianRational:
-        return GaussianRational(-self._re, -self._im)
+        return _reduced(-self._a, -self._b, self._d)
 
     def __mul__(self, other: GaussianRational | Fraction | int) -> GaussianRational:
-        if isinstance(other, (Fraction, int)):
-            return GaussianRational(self._re * other, self._im * other)
-        if not isinstance(other, GaussianRational):
+        other = _operand(other)
+        if other is None:
             return NotImplemented
-        return GaussianRational(
-            self._re * other._re - self._im * other._im,
-            self._re * other._im + self._im * other._re,
-        )
+        a, b, c, e = self._a, self._b, other._a, other._b
+        return _reduced(a * c - b * e, a * e + b * c, self._d * other._d)
 
     __rmul__ = __mul__
 
     def conjugate(self) -> GaussianRational:
-        return GaussianRational(self._re, -self._im)
+        return _reduced(self._a, -self._b, self._d)
 
     def norm(self) -> Fraction:
         """|z|^2 = z * conj(z), a nonnegative rational."""
-        return self._re * self._re + self._im * self._im
+        return Fraction(self._a * self._a + self._b * self._b, self._d * self._d)
 
     def inverse(self) -> GaussianRational:
-        n = self.norm()
+        """d / (a + b i) = (a d - b d i) / (a^2 + b^2)."""
+        a, b, d = self._a, self._b, self._d
+        n = a * a + b * b
         if n == 0:
             raise ZeroDivisionError("inverse of zero in Q(i)")
-        return GaussianRational(self._re / n, -self._im / n)
+        return _reduced(a * d, -b * d, n)
 
     def __truediv__(self, other: GaussianRational | Fraction | int) -> GaussianRational:
-        if isinstance(other, (Fraction, int)):
-            other = GaussianRational(other)
-        if not isinstance(other, GaussianRational):
+        other = _operand(other)
+        if other is None:
             return NotImplemented
         return self * other.inverse()
 
@@ -142,35 +146,53 @@ class GaussianRational:
         return GaussianRational(other) * self.inverse()
 
     def __pow__(self, n: int) -> GaussianRational:
-        base = self if n >= 0 else self.inverse()
+        """(a + b i)^n / d^n: Gaussian-integer squaring, one gcd at the end."""
+        z = self if n >= 0 else self.inverse()
         n = abs(n)
-        result = GaussianRational.one()
+        a, b, x, y, d = 1, 0, z._a, z._b, z._d**n
         while n:
             if n & 1:
-                result = result * base
-            base = base * base
+                a, b = a * x - b * y, a * y + b * x
             n >>= 1
-        return result
+            if n:
+                x, y = x * x - y * y, 2 * x * y
+        return _reduced(a, b, d)
 
     def is_zero(self) -> bool:
-        return self._re == 0 and self._im == 0
+        return not self._a and not self._b
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, (Fraction, int)):
-            other = GaussianRational(other)
-        if not isinstance(other, GaussianRational):
+        other = _operand(other)
+        if other is None:
             return NotImplemented
-        return self._re == other._re and self._im == other._im
+        return (self._a, self._b, self._d) == (other._a, other._b, other._d)
 
     def __hash__(self) -> int:
-        if self._im == 0:
-            return hash(self._re)
-        return hash((self._re, self._im))
+        if not self._b:
+            return hash(Fraction(self._a, self._d))
+        return hash((self._a, self._b, self._d))
 
     def __repr__(self) -> str:
-        if self._im == 0:
-            return f"GaussianRational({self._re})"
-        return f"GaussianRational({self._re}, {self._im})"
+        if not self._b:
+            return f"GaussianRational({self.re})"
+        return f"GaussianRational({self.re}, {self.im})"
+
+
+def _operand(value: object) -> GaussianRational | None:
+    """value as a Gaussian rational, or None if it is not in Q(i)."""
+    if isinstance(value, GaussianRational):
+        return value
+    if isinstance(value, (int, Fraction)):
+        return _reduced(value.numerator, 0, value.denominator)
+    return None
+
+
+def _reduced(a: int, b: int, d: int) -> GaussianRational:
+    """(a + b i) / d for d > 0, divided by gcd(a, b, d)."""
+    g = gcd(a, b, d)
+    z = object.__new__(GaussianRational)
+    z._a, z._b, z._d = a // g, b // g, d // g
+    return z
 
 
 class Signature:
@@ -510,14 +532,13 @@ class SuperMatrix:
         size = dim_even + dim_odd
         if len(entries) != size or any(len(row) != size for row in entries):
             raise ValueError(f"entries must be a {size}x{size} matrix")
-        rows = tuple(
-            tuple(GaussianRational.coerce(v) for v in row) for row in entries
-        )
-        want_diag = parity == "even"
-        for i in range(size):
-            for j in range(size):
-                on_diag_block = (i < dim_even) == (j < dim_even)
-                if on_diag_block != want_diag and not rows[i][j].is_zero():
+        rows = tuple(tuple(map(GaussianRational.coerce, row)) for row in entries)
+        odd = parity == "odd"
+        # the columns an even matrix forbids in an even row, then an odd row
+        forbidden = (range(dim_even, size), range(dim_even))
+        for i, row in enumerate(rows):
+            for j in forbidden[(i < dim_even) == odd]:
+                if not row[j].is_zero():
                     raise ValueError(
                         f"entry ({i},{j}) lies outside the {parity} blocks"
                     )

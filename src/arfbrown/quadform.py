@@ -143,8 +143,9 @@ class Cyc8:
         while n:
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return result
 
     def conj(self) -> Cyc8:
@@ -378,8 +379,10 @@ def _brown_exponent(q: Enhancement) -> int:
 
 
 def _gauss_sum_of_root(root: RootOfUnity8, dim: int) -> Cyc8:
-    """zeta8^k * (zeta8 - zeta8^3)^dim, the Gauss sum of a form with root k."""
-    return root.cyc8() * Cyc8.sqrt2() ** dim
+    """zeta8^k * (zeta8 - zeta8^3)^dim, the Gauss sum of a form with root k,
+    as zeta8^k * 2^(dim // 2) * (zeta8 - zeta8^3)^(dim mod 2)."""
+    total = root.cyc8() * (1 << (dim >> 1))
+    return total * Cyc8.sqrt2() if dim & 1 else total
 
 
 def arf_brown(q: Enhancement) -> RootOfUnity8:

@@ -49,7 +49,7 @@ class GluingScheme:
     In text form an apostrophe marks the inverse: "a b a' b'".
     """
 
-    __slots__ = ("_word",)
+    __slots__ = ("_word", "_form")
 
     def __init__(self, word: Iterable[tuple[str, int]]):
         w = tuple((str(letter), int(exp)) for letter, exp in word)
@@ -68,12 +68,14 @@ class GluingScheme:
                 f"every letter must occur exactly twice; offending: {sorted(bad)}"
             )
         self._word = w
+        self._form: IntersectionForm | None = None  # set by surface_form
 
     @classmethod
     def _unchecked(cls, word: list[tuple[str, int]]) -> GluingScheme:
         """A scheme from a word that is valid by construction."""
         s = object.__new__(cls)
         s._word = tuple(word)
+        s._form = None
         return s
 
     @classmethod
@@ -295,6 +297,9 @@ def classify(s: GluingScheme) -> tuple[SurfaceInfo, GluingScheme, IntersectionFo
 
 def surface_form(s: GluingScheme) -> IntersectionForm:
     """The intersection form used for enhancements on this scheme: its own
-    if the word has one vertex (or is a sphere), else the normal form's."""
-    info = analyze(s)
-    return _form(s if info.vertex_count == 1 else _canonical_word(info), info)
+    if the word has one vertex (or is a sphere), else the normal form's.
+    It is built on the first call and kept on the scheme."""
+    if s._form is None:
+        info = analyze(s)
+        s._form = _form(s if info.vertex_count == 1 else _canonical_word(info), info)
+    return s._form

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from arfbrown import surface
 from arfbrown.cli import build_parser, main, parse_theory
 from arfbrown.clifford import GaussianRational
 from arfbrown.majorana import ChainSetup, ground_states
@@ -269,6 +270,31 @@ def test_tqft_full_run(tmp_path, capsys):
     assert all(_no_floats(r) for r in recs)
 
 
+@pytest.mark.parametrize(
+    "argv", [["arf-brown"], ["tqft", "ab=3 euler=1/2+i"]], ids=["arf-brown", "tqft"]
+)
+def test_one_analyze_per_surface_per_request(tmp_path, capsys, monkeypatch, argv):
+    # a subdivided torus: two vertices, so its form is the normal form's
+    path = _write(
+        tmp_path,
+        "t.surf",
+        "surface T: a1 a2 b a2' a1' b'\n"
+        "enhance T: a=2 b=2\n"
+        "enhance T: a=0 b=2\n"
+        "enhance T: a=2 b=0\n",
+    )
+    calls = []
+    analyze = surface.analyze
+    monkeypatch.setattr(surface, "analyze", lambda s: calls.append(s) or analyze(s))
+    for _ in range(2):
+        calls.clear()
+        assert main([argv[0], "--format", "structured", *argv[1:], path]) == 0
+        assert len(calls) == 1
+    assert len([r for r in _records(capsys) if r["record"] != "theory"]) == 2 * (
+        3 if argv[0] == "arf-brown" else 4
+    )
+
+
 def test_tqft_sphere_euler_example(tmp_path, capsys):
     path = _write(tmp_path, "s.surf", "surface S: a a'\nenhance S:\n")
     assert main(["tqft", "--format", "structured", "ab=0 euler=2", path]) == 0
@@ -328,6 +354,20 @@ def test_parse_theory_gaussian_literals():
     assert parse_theory(
         "ab=1 euler=-1/2-3/4i"
     ).euler_weight == GaussianRational(Fraction(-1, 2), Fraction(-3, 4))
+
+
+def test_parse_theory_exponent_literals():
+    thousandth = Fraction(1, 1000)
+    assert parse_theory("ab=1 euler=1e-3").euler_weight == thousandth
+    assert parse_theory("ab=1 euler=1e-3i").euler_weight == GaussianRational(
+        0, thousandth
+    )
+    assert parse_theory("ab=1 euler=2+1e-3i").euler_weight == GaussianRational(
+        2, thousandth
+    )
+    assert parse_theory("ab=1 euler=2E+1-1e-3i").euler_weight == GaussianRational(
+        20, -thousandth
+    )
 
 
 # ---------------------------------------------------------------- selftest

@@ -259,6 +259,32 @@ def test_supermatrix_parity_bookkeeping():
     assert (plus * minus) + ident == ident + (plus * minus)
 
 
+@pytest.mark.parametrize(
+    "parity, cells",
+    [
+        ("even", [(1, 4), (3, 0)]),  # even row, odd column; odd row, even column
+        ("odd", [(1, 1), (4, 2)]),  # the two diagonal blocks
+    ],
+)
+def test_supermatrix_names_the_first_entry_outside_the_blocks(parity, cells):
+    # C^{2|3}, every allowed entry nonzero
+    even = parity == "even"
+    allowed = [
+        [Fraction(i + 1, j + 2) if ((i < 2) == (j < 2)) == even else 0
+         for j in range(5)]
+        for i in range(5)
+    ]
+    SuperMatrix(2, 3, allowed, parity)
+    for bad in (cells[:1], cells[1:], cells):
+        rows = [list(row) for row in allowed]
+        for i, j in bad:
+            rows[i][j] = GaussianRational(0, 1)
+        i, j = bad[0]
+        message = rf"entry \({i},{j}\) lies outside the {parity} blocks"
+        with pytest.raises(ValueError, match=message):
+            SuperMatrix(2, 3, rows, parity)
+
+
 def test_cl11_rep_is_the_grading_pair():
     plus, minus = cl11_rep()
     prod = plus * minus

@@ -15,6 +15,7 @@ from arfbrown.quadform import (
     NotSpin,
     ParityViolation,
     RootOfUnity8,
+    _gauss_sum_of_root,
     arf,
     arf_brown,
     enumerate_enhancements,
@@ -60,6 +61,23 @@ def test_sqrt2_squares_to_two():
     s = Cyc8.sqrt2()
     assert s == Cyc8.zeta(1) - Cyc8.zeta(3)
     assert s * s == Cyc8(2, 0, 0, 0)
+
+
+def test_powers_are_repeated_products():
+    rng = random.Random(8)
+    for _ in range(20):
+        x = Cyc8(*(rng.randint(-3, 3) for _ in range(4)))
+        product_ = Cyc8.one()
+        for n in range(12):
+            assert x**n == product_
+            product_ = product_ * x
+
+
+def test_closed_form_gauss_sum_matches_the_power_of_sqrt2():
+    for k in range(8):
+        for dim in range(41):
+            want = Cyc8.zeta(k) * Cyc8.sqrt2() ** dim
+            assert _gauss_sum_of_root(RootOfUnity8(k), dim) == want
 
 
 def test_conjugation_fixes_rationals_and_inverts_zeta():

@@ -14,6 +14,7 @@ from arfbrown.surface import (
     nonorientable_scheme,
     normalize,
     orientable_scheme,
+    surface_form,
 )
 from surface_oracle import assert_matches_oracle, random_scheme
 
@@ -105,6 +106,21 @@ def test_multi_vertex_word_rejected():
     assert info.vertex_count == 2 and info.betti1_mod2 == 2
     with pytest.raises(MultipleVertices):
         intersection_form(s)
+
+
+def test_surface_form_is_built_once_per_scheme():
+    schemes = [
+        GluingScheme.from_text("a a'"),
+        GluingScheme.from_text("a b a' b'"),
+        GluingScheme.from_text("a1 a2 b a2' a1' b'"),
+        orientable_scheme(3),
+        nonorientable_scheme(4),
+    ]
+    for s in schemes:
+        form = surface_form(s)
+        assert surface_form(s) is form
+        # an equal scheme object builds its own, equal form
+        assert surface_form(GluingScheme(s.word)) == form
 
 
 def test_malformed_words():

@@ -109,6 +109,16 @@ def test_enhancement_on_wrong_form_rejected():
         partition_function(TheoryClass(1), [(torus, q)])
 
 
+def test_kept_form_still_rejects_a_mismatched_enhancement():
+    torus = GluingScheme.from_text("a1 a2 b a2' a1' b'")
+    form = surface_form(torus)
+    assert surface_form(torus) is form
+    q = Enhancement(surface_form(GluingScheme.from_text("a a b b")), {"a": 1, "b": 1})
+    with pytest.raises(DimensionMismatch):
+        partition_function(TheoryClass(1), [(torus, q)])
+    partition_function(TheoryClass(1), [(torus, Enhancement(form, {"a": 2, "b": 0}))])
+
+
 def test_surface_form_for_multi_vertex_words():
     # a subdivided torus has no one-vertex form of its own; the normal
     # form's basis is used instead
