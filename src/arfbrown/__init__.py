@@ -5,21 +5,34 @@ Subpackages by topic: GF(2) linear algebra (f2), polygon gluing words
 Clifford algebras (clifford), combinatorial structures on 1-manifolds
 (pin1), the chain Hamiltonian and its exact spectra (majorana), the
 theory evaluator (tqft), and the command line (cli).  The package exports
-every name in the `__all__` of its runtime modules, and no other.
+every name in the `__all__` of its runtime modules, and no other.  The
+namespace is lazy: `import arfbrown` loads no submodule, and a module
+loads on the first use of a name that needs it.
 """
 
-from . import clifford, errors, f2, majorana, pin1, quadform, surface, tqft
-from .clifford import *
-from .errors import *
-from .f2 import *
-from .majorana import *
-from .pin1 import *
-from .quadform import *
-from .surface import *
-from .tqft import *
+from importlib import import_module
 
-__all__ = [
-    name
-    for module in (errors, f2, surface, quadform, clifford, pin1, majorana, tqft)
-    for name in module.__all__
-]
+_RUNTIME = ("errors", "f2", "surface", "quadform", "clifford", "pin1", "majorana", "tqft")
+
+
+def __getattr__(name: str):
+    """A submodule, or else an exported name from the runtime modules; kept once found."""
+    try:
+        value = import_module(f"{__name__}.{name}")
+    except ModuleNotFoundError as exc:
+        if exc.name != f"{__name__}.{name}":
+            raise
+        modules = [import_module(f"{__name__}.{module}") for module in _RUNTIME]
+        homes = {export: module for module in modules for export in module.__all__}
+        if name == "__all__":
+            value = list(homes)
+        elif name in homes:
+            value = getattr(homes[name], name)
+        else:
+            raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*__getattr__("__all__"), *globals()})  # loads, then lists

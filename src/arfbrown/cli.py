@@ -24,34 +24,25 @@ import functools
 import json
 import re
 import sys
-from fractions import Fraction
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence
 
-from .clifford import GaussianRational
-from .errors import CapExceeded
-from .majorana import ChainSetup, ground_states
-from .pin1 import HasBoundary, classify_circle
-from .quadform import (
-    Cyc8,
+from .errors import (
+    CapExceeded,
     DimensionMismatch,
-    Enhancement,
+    HasBoundary,
     NotSpin,
     ParityViolation,
-    _gauss_sum_of_root,
-    arf,
-    arf_brown,
-)
-from .surface import GluingScheme, MalformedWord, classify, surface_form
-from .tqft import (
-    TheoryClass,
-    consistency_report,
-    evaluate_circle,
-    evaluate_point,
-    is_stable,
-    partition_function,
 )
 
-__all__ = ["main", "ParseError", "PreconditionError"]
+if TYPE_CHECKING:  # each command imports the modules it runs
+    from fractions import Fraction
+
+    from .clifford import GaussianRational
+    from .quadform import Cyc8, Enhancement
+    from .surface import GluingScheme
+    from .tqft import TheoryClass
+
+__all__ = ["main", "ParseError", "PreconditionError", "MAX_LITERAL_EXPONENT"]
 
 
 class ParseError(Exception):
@@ -70,6 +61,10 @@ class PreconditionError(ValueError):
 
 _WORD_TOKEN = re.compile(r"[A-Za-z][A-Za-z0-9]*'?$")
 _NAME_TOKEN = re.compile(r"[A-Za-z0-9_.-]+$")
+# Fraction("1e600") builds 10**600 first, so a decimal exponent is checked
+# against this bound before any Fraction is built
+MAX_LITERAL_EXPONENT = 4300
+_EXPONENT = re.compile(r"[eE]([-+]?[0-9_]+)")
 
 
 class SurfaceStmt(NamedTuple):
@@ -120,6 +115,8 @@ def _parse_name(tokens: list[tuple[str, int]], path: str, lineno: int) -> str:
 def _parse_surface_payload(
     tokens: list[tuple[str, int]], path: str, lineno: int
 ) -> GluingScheme:
+    from .surface import GluingScheme, MalformedWord
+
     word = []
     for tok, col in tokens:
         if not _WORD_TOKEN.match(tok):
@@ -226,6 +223,8 @@ def parse_file(path: str) -> list:
 
 def parse_theory(text: str) -> TheoryClass:
     """`ab=<0..7> [euler=<rational or Gaussian rational>]`."""
+    from .tqft import TheoryClass
+
     path = "<theory>"
     tokens = _tokens(text)
     ab = None
@@ -247,6 +246,8 @@ def parse_theory(text: str) -> TheoryClass:
         elif key == "euler" and eq:
             try:
                 euler = _parse_gaussian(raw)
+            except OverflowError as exc:
+                raise ParseError(f"{exc} in {raw!r}", path, 1, col) from None
             except (ValueError, ZeroDivisionError):
                 raise ParseError(
                     f"bad Gaussian rational {raw!r}", path, 1, col
@@ -264,6 +265,15 @@ def parse_theory(text: str) -> TheoryClass:
 
 def _parse_gaussian(text: str) -> GaussianRational:
     """Literals like 2, -1/2, i, -i, 3i, 1+i, -1/2-3/4i, 2+1e-3i."""
+    from fractions import Fraction
+
+    from .clifford import GaussianRational
+
+    for exponent in _EXPONENT.findall(text):
+        if abs(int(exponent)) > MAX_LITERAL_EXPONENT:
+            raise OverflowError(
+                f"decimal exponent {exponent} is beyond ±{MAX_LITERAL_EXPONENT}"
+            )
     if text.endswith("i"):
         body = text[:-1]
         re_part, im_part = "0", body
@@ -351,14 +361,30 @@ class Emitter:
         self.stream = stream if stream is not None else sys.stdout
 
     def emit(self, record: dict, human: Callable[[], Sequence[str]]) -> None:
-        if self.fmt == "structured":
-            print(
-                json.dumps(record, sort_keys=True, separators=(",", ":")),
-                file=self.stream,
-            )
-        else:
-            for line in human():
-                print(line, file=self.stream)
+        # exact numbers may have more digits than str(int) allows by default;
+        # parsing keeps that limit, since int(str) is quadratic in its length
+        limit = _int_digit_limit(0)
+        try:
+            if self.fmt == "structured":
+                print(
+                    json.dumps(record, sort_keys=True, separators=(",", ":")),
+                    file=self.stream,
+                )
+            else:
+                for line in human():
+                    print(line, file=self.stream)
+        finally:
+            _int_digit_limit(limit)
+
+
+def _int_digit_limit(limit: int) -> int:
+    """Set Python's int-to-str digit limit (0 lifts it) and return the old
+    one; Python releases without the limit have nothing to set."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        return 0
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    return old
 
 
 def _collect(paths: Iterable[str]) -> list:
@@ -369,6 +395,8 @@ def _collect(paths: Iterable[str]) -> list:
 
 
 def cmd_surface(paths: Sequence[str], emitter: Emitter) -> int:
+    from .surface import classify
+
     for stmt in _collect(paths):
         if not isinstance(stmt, SurfaceStmt):
             continue
@@ -400,6 +428,8 @@ def _attach_enhancements(
     statements: list, inline_specs: Sequence[str]
 ) -> list[tuple[SurfaceStmt, Enhancement, dict[str, int]]]:
     """Pair each enhancement with its surface and build it on the form."""
+    from . import quadform, surface
+
     surfaces: dict[str, SurfaceStmt] = {}
     pairs: list[tuple[SurfaceStmt, EnhanceStmt]] = []
     for stmt in statements:
@@ -438,7 +468,7 @@ def _attach_enhancements(
     for surf, enh in pairs:
         values = dict(enh.values)
         try:
-            q = Enhancement(surface_form(surf.scheme), values)
+            q = quadform.Enhancement(surface.surface_form(surf.scheme), values)
         except ParityViolation:
             raise
         except ValueError as exc:
@@ -459,6 +489,8 @@ def cmd_arf_brown(
     cap_dim: int,
     emitter: Emitter,
 ) -> int:
+    from .quadform import _gauss_sum_of_root, arf, arf_brown
+
     statements = _collect(paths)
     for surf, q, values in _attach_enhancements(statements, inline_specs):
         _check_cap("form dimension", q.dim, cap_dim, "--cap-dim")
@@ -488,21 +520,24 @@ def cmd_arf_brown(
 
 
 def cmd_majorana(paths: Sequence[str], cap_n: int, emitter: Emitter) -> int:
+    from . import majorana, pin1, tqft
+
     for stmt in _collect(paths):
         if not isinstance(stmt, ComponentStmt):
             continue
         if stmt.kind == "circle":
-            setup = ChainSetup.circle(stmt.bits, stmt.orientation)
-            cls = classify_circle(setup.component)
+            setup = majorana.ChainSetup.circle(stmt.bits, stmt.orientation)
+            cls = pin1.classify_circle(setup.component)
             circle_class = cls.value
             # the ground line is the generator theory's value on the circle
-            want_dim, want_parity = 1, evaluate_circle(TheoryClass(1), cls).parity
+            theory = tqft.TheoryClass(1)
+            want_dim, want_parity = 1, tqft.evaluate_circle(theory, cls).parity
         else:
-            setup = ChainSetup.interval(stmt.bits, stmt.orientation)
+            setup = majorana.ChainSetup.interval(stmt.bits, stmt.orientation)
             circle_class = None
             want_dim, want_parity = 2, "mixed"
         _check_cap("vertex count", setup.vertex_count, cap_n, "--cap-n")
-        report = ground_states(setup)
+        report = majorana.ground_states(setup)
         verdict = (
             "ok"
             if (report.ground_dimension, report.ground_parity)
@@ -550,12 +585,14 @@ def cmd_tqft(
     cap_dim: int,
     emitter: Emitter,
 ) -> int:
+    from . import pin1, tqft
+
     theory = parse_theory(theory_text)
     record = {
         "record": "theory",
         "ab_power": theory.ab_power,
         "euler_weight": _enc_gaussian(theory.euler_weight),
-        "stable": is_stable(theory),
+        "stable": tqft.is_stable(theory),
     }
     emitter.emit(record, lambda: [
         f"theory: ab_power {theory.ab_power},"
@@ -570,7 +607,7 @@ def cmd_tqft(
     total = None
     for stmt in statements:
         if isinstance(stmt, PointStmt):
-            value = evaluate_point(theory)
+            value = tqft.evaluate_point(theory)
             k = len(value.signature)
             emitter.emit(
                 {
@@ -586,9 +623,8 @@ def cmd_tqft(
                     "tqft evaluates closed manifolds; remove interval"
                     f" {stmt.name!r}"
                 )
-            setup = ChainSetup.circle(stmt.bits, stmt.orientation)
-            cls = classify_circle(setup.component)
-            line = evaluate_circle(theory, cls)
+            cls = pin1.classify_circle(pin1.Circle(stmt.bits))
+            line = tqft.evaluate_circle(theory, cls)
             emitter.emit(
                 {
                     "record": "circle",
@@ -600,7 +636,7 @@ def cmd_tqft(
             )
     for surf, q, values in enhanced:
         _check_cap("form dimension", q.dim, cap_dim, "--cap-dim")
-        value = partition_function(theory, [(surf.scheme, q)])
+        value = tqft.partition_function(theory, [(surf.scheme, q)])
         total = value if total is None else total * value
         emitter.emit(
             {
@@ -632,6 +668,8 @@ def cmd_tqft(
 
 
 def cmd_selftest(emitter: Emitter) -> int:
+    from .tqft import consistency_report
+
     report = consistency_report()
     for check in report.checks:
         emitter.emit(

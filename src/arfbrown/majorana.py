@@ -26,8 +26,9 @@ from math import prod
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from .clifford import evaluate_on_empty
+from .errors import HasBoundary
 from .exactla import rational_nullity
-from .pin1 import Circle, HasBoundary, Interval
+from .pin1 import Circle, Interval
 
 if TYPE_CHECKING:
     import numpy as np

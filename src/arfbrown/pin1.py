@@ -13,6 +13,8 @@ from __future__ import annotations
 from enum import Enum
 from typing import Iterable, Sequence
 
+from .errors import HasBoundary
+
 __all__ = [
     "Circle",
     "Interval",
@@ -22,12 +24,7 @@ __all__ = [
     "interval_class",
     "classify_circle",
     "bordism_class",
-    "HasBoundary",
 ]
-
-
-class HasBoundary(ValueError):
-    """A closed-manifold operation was given interval components."""
 
 
 class CircleClass(Enum):

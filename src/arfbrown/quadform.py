@@ -22,6 +22,7 @@ from __future__ import annotations
 from itertools import product
 from typing import Mapping
 
+from .errors import DimensionMismatch, NotSpin, ParityViolation
 from .f2 import F2Vector, symplectic_basis
 from .surface import IntersectionForm
 
@@ -34,27 +35,12 @@ __all__ = [
     "arf",
     "gauss_sum",
     "arf_brown",
-    "DimensionMismatch",
-    "NotSpin",
     "NotRootOfUnity",
-    "ParityViolation",
 ]
-
-
-class DimensionMismatch(ValueError):
-    """A vector's length differs from the form's dimension."""
-
-
-class NotSpin(ValueError):
-    """The enhancement takes an odd value, so it is not even-valued."""
 
 
 class NotRootOfUnity(ArithmeticError):
     """A Gauss sum failed to match zeta8^k * sqrt(2)^dim for every k."""
-
-
-class ParityViolation(ValueError):
-    """A basis value disagrees mod 2 with the form's diagonal."""
 
 
 class Cyc8:

@@ -16,15 +16,9 @@ from fractions import Fraction
 from typing import Iterable, NamedTuple
 
 from .clifford import GaussianRational, Signature
-from .majorana import ChainSetup, ground_states
+from .errors import DimensionMismatch
 from .pin1 import Circle, CircleClass, classify_circle
-from .quadform import (
-    DimensionMismatch,
-    Enhancement,
-    RootOfUnity8,
-    arf,
-    arf_brown,
-)
+from .quadform import Enhancement, RootOfUnity8, arf, arf_brown
 from .surface import (
     GluingScheme,
     intersection_form,
@@ -173,6 +167,8 @@ class ConsistencyReport(NamedTuple):
 
 def _check_circle_parities(max_edges: int = 6) -> CheckResult:
     """Majorana ground parity must match the circle's line parity at power 1."""
+    from .majorana import ChainSetup, ground_states  # the chain runs only here
+
     theory = TheoryClass(1)
     tried = 0
     for n in range(1, max_edges + 1):

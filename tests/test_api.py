@@ -10,6 +10,8 @@ import sys
 from collections import Counter
 from pathlib import Path
 
+import pytest
+
 import arfbrown
 
 MODULES = {
@@ -122,3 +124,70 @@ def test_command_line_starts_without_dataclasses():
         timeout=120,
     )
     assert done.returncode == 0, done.stderr
+
+
+def _python(snippet: str, *args: str) -> str:
+    """Run a snippet in a fresh interpreter on this checkout; its stdout."""
+    src = str(Path(arfbrown.__file__).resolve().parent.parent)
+    done = subprocess.run(
+        [sys.executable, "-c", snippet, *args],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+_LOADED = 'print(*sorted(m for m in sys.modules if m.startswith("arfbrown")))'
+
+
+def test_importing_the_package_loads_no_submodule():
+    assert _python("import sys, arfbrown\n" + _LOADED).split() == ["arfbrown"]
+
+
+def test_command_line_starts_with_only_its_errors():
+    snippet = "import sys\nimport arfbrown.cli as cli\ncli.build_parser()\n" + _LOADED
+    assert _python(snippet).split() == ["arfbrown", "arfbrown.cli", "arfbrown.errors"]
+
+
+# one command runs in-process on one file; its output is discarded
+_AFTER_COMMAND = """
+import contextlib, io, os, sys, tempfile
+import arfbrown.cli as cli
+with tempfile.TemporaryDirectory() as tmp:
+    path = os.path.join(tmp, "k.surf")
+    with open(path, "w") as handle:
+        handle.write("surface K: a a b b\\nenhance K: a=1 b=3\\ncircle c: 1 0 1\\n")
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main([*sys.argv[1:], path])
+    assert code == 0, code
+""" + _LOADED
+
+
+@pytest.mark.parametrize(
+    "argv, absent",
+    [
+        (["surface"], ["quadform", "tqft", "majorana", "clifford", "pin1", "exactla"]),
+        (["arf-brown"], ["majorana", "tqft", "clifford", "exactla"]),
+        (["tqft", "ab=1"], ["majorana", "exactla"]),
+    ],
+    ids=["surface", "arf-brown", "tqft"],
+)
+def test_each_command_loads_only_its_modules(argv, absent):
+    loaded = _python(_AFTER_COMMAND, *argv).split()
+    assert [m for m in loaded if m[len("arfbrown."):] in absent] == []
+
+
+def test_star_import_binds_every_exported_name():
+    namespace = {}
+    exec("from arfbrown import *", namespace)
+    assert [n for n in arfbrown.__all__ if n not in namespace] == []
+    assert all(namespace[n] is getattr(arfbrown, n) for n in arfbrown.__all__)
+    assert set(arfbrown.__all__) | set(RUNTIME) <= set(dir(arfbrown))
+
+
+def test_unknown_name_is_an_attribute_error_naming_the_package():
+    with pytest.raises(AttributeError, match="module 'arfbrown' has no attribute 'nope'"):
+        arfbrown.nope

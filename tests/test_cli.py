@@ -1,14 +1,16 @@
 """Command-line interface: grammar, encodings, and exit codes."""
 
 import argparse
+import contextlib
 import json
+import sys
 import time
 from fractions import Fraction
 
 import pytest
 
 from arfbrown import surface
-from arfbrown.cli import build_parser, main, parse_theory
+from arfbrown.cli import MAX_LITERAL_EXPONENT, build_parser, main, parse_theory
 from arfbrown.clifford import GaussianRational
 from arfbrown.majorana import ChainSetup, ground_states
 
@@ -368,6 +370,56 @@ def test_parse_theory_exponent_literals():
     assert parse_theory("ab=1 euler=2E+1-1e-3i").euler_weight == GaussianRational(
         20, -thousandth
     )
+
+
+def test_literal_exponents_up_to_the_bound_parse():
+    assert MAX_LITERAL_EXPONENT == 4300
+    assert parse_theory("ab=1 euler=1e600").euler_weight == 10**600
+    assert parse_theory("ab=1 euler=1e-4300i").euler_weight == GaussianRational(
+        0, Fraction(1, 10**4300)
+    )
+
+
+@pytest.mark.parametrize(
+    "euler", ["1e999999999", "1e4301", "2+1e-4301i", "1e9_999_999", "1E+99999"]
+)
+def test_literal_exponent_beyond_the_bound_is_exit_2_at_once(capsys, euler):
+    start = time.perf_counter()
+    assert main(["tqft", f"ab=1 euler={euler}"]) == 2
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith("error: <theory>:1:6: decimal exponent ")
+    assert "is beyond ±4300" in err
+
+
+@contextlib.contextmanager
+def _no_int_digit_limit():
+    # reading the output back needs the limit lifted too
+    old = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    set_limit = getattr(sys, "set_int_max_str_digits", lambda _: None)
+    set_limit(0)
+    try:
+        yield
+    finally:
+        set_limit(old)
+
+
+def test_exact_results_past_4300_digits_print_in_full(tmp_path, capsys):
+    # genus 5: chi = -8, so the Euler factor is 10^-4800
+    word = " ".join(f"a{k} b{k} a{k}' b{k}'" for k in range(1, 6))
+    values = " ".join(f"a{k}=0 b{k}=0" for k in range(1, 6))
+    path = _write(tmp_path, "g5.surf", f"surface G: {word}\nenhance G: {values}\n")
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    assert main(["tqft", "--format", "structured", "ab=1 euler=1e600", path]) == 0
+    with _no_int_digit_limit():
+        recs = _records(capsys)
+    assert recs[0]["euler_weight"] == {"re": [10**600, 1], "im": [0, 1]}
+    factor = {"re": [1, 10**4800], "im": [0, 1]}
+    assert [r["euler_factor"] for r in recs[1:]] == [factor, factor]
+    assert main(["tqft", "ab=1 euler=1e600", path]) == 0
+    out = capsys.readouterr().out
+    assert f"total over 1 surface(s): ζ₈^0 = 1, euler factor 1/1{'0' * 4800}\n" in out
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
 
 
 # ---------------------------------------------------------------- selftest

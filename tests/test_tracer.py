@@ -5,7 +5,10 @@ import importlib.util
 import sys
 from pathlib import Path
 
-import arfbrown.cli  # noqa: F401  (loads every module the tracer patches)
+import arfbrown
+from arfbrown import (  # noqa: F401  (every module the tracer patches)
+    cli, clifford, exactla, f2, majorana, pin1, quadform, surface, tqft,
+)
 from arfbrown.majorana import ChainSetup
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
