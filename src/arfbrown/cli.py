@@ -26,13 +26,7 @@ import re
 import sys
 from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence
 
-from .errors import (
-    CapExceeded,
-    DimensionMismatch,
-    HasBoundary,
-    NotSpin,
-    ParityViolation,
-)
+from .errors import CapExceeded, DimensionMismatch, HasBoundary, NotSpin, ParityViolation
 
 if TYPE_CHECKING:  # each command imports the modules it runs
     from fractions import Fraction
@@ -59,7 +53,8 @@ class PreconditionError(ValueError):
     """Structurally valid input that a command cannot evaluate."""
 
 
-_WORD_TOKEN = re.compile(r"[A-Za-z][A-Za-z0-9]*'?$")
+# a surface payload, its tokens joined by single spaces (or one token)
+_WORD = re.compile(r"(?:[A-Za-z][A-Za-z0-9]*'?(?: |\Z))*")
 _NAME_TOKEN = re.compile(r"[A-Za-z0-9_.-]+$")
 # Fraction("1e600") builds 10**600 first, so a decimal exponent is checked
 # against this bound before any Fraction is built
@@ -96,88 +91,86 @@ class PointStmt(NamedTuple):
     line: int
 
 
-def _tokens(line: str) -> list[tuple[str, int]]:
-    return [(m.group(), m.start() + 1) for m in re.finditer(r"\S+", line)]
+class _TokenError(Exception):
+    """A statement error at the index-th token of its line (None: the line);
+    the column is worked out only for the report."""
+
+    def at(self, line: str, path: str, lineno: int) -> ParseError:
+        message, index = self.args
+        starts = [m.start() + 1 for m in re.finditer(r"\S+", line)]
+        col = 1 if index is None else starts[index]
+        return ParseError(message, path, lineno, col)
 
 
-def _parse_name(tokens: list[tuple[str, int]], path: str, lineno: int) -> str:
-    if len(tokens) < 2:
-        raise ParseError("missing name", path, lineno, tokens[0][1])
-    name, col = tokens[1]
+def _parse_name(words: list[str]) -> str:
+    if len(words) < 2:
+        raise _TokenError("missing name", 0)
+    name = words[1]
     if not name.endswith(":"):
-        raise ParseError("expected '<name>:' after the directive", path, lineno, col)
+        raise _TokenError("expected '<name>:' after the directive", 1)
     name = name[:-1]
     if not _NAME_TOKEN.match(name):
-        raise ParseError(f"bad name {name!r}", path, lineno, col)
+        raise _TokenError(f"bad name {name!r}", 1)
     return name
 
 
-def _parse_surface_payload(
-    tokens: list[tuple[str, int]], path: str, lineno: int
-) -> GluingScheme:
+def _parse_surface_payload(words: list[str]) -> GluingScheme:
     from .surface import GluingScheme, MalformedWord
 
-    word = []
-    for tok, col in tokens:
-        if not _WORD_TOKEN.match(tok):
-            raise ParseError(f"bad letter token {tok!r}", path, lineno, col)
-        if tok.endswith("'"):
-            word.append((tok[:-1], -1))
-        else:
-            word.append((tok, 1))
-    if not word:
-        raise ParseError("surface word is empty", path, lineno)
+    letters = words[2:]
+    if not _WORD.fullmatch(" ".join(letters)):
+        k = next(k for k, tok in enumerate(letters) if not _WORD.fullmatch(tok))
+        raise _TokenError(f"bad letter token {letters[k]!r}", k + 2)
+    if not letters:
+        raise _TokenError("surface word is empty", None)
     try:
-        return GluingScheme(word)
+        return GluingScheme(
+            [(tok[:-1], -1) if tok[-1] == "'" else (tok, 1) for tok in letters]
+        )
     except MalformedWord as exc:
-        raise ParseError(str(exc), path, lineno) from exc
+        raise _TokenError(str(exc), None) from exc
 
 
 def _parse_enhance_payload(
-    tokens: list[tuple[str, int]], path: str, lineno: int
+    words: list[str], start: int
 ) -> tuple[tuple[str, int], ...]:
     values = []
     seen = set()
-    for tok, col in tokens:
-        label, eq, raw = tok.partition("=")
+    for k in range(start, len(words)):
+        label, eq, raw = words[k].partition("=")
         if not eq or not label or not raw:
-            raise ParseError(f"expected label=value, got {tok!r}", path, lineno, col)
+            raise _TokenError(f"expected label=value, got {words[k]!r}", k)
         if label in seen:
-            raise ParseError(f"label {label!r} assigned twice", path, lineno, col)
+            raise _TokenError(f"label {label!r} assigned twice", k)
         seen.add(label)
         try:
             values.append((label, int(raw)))
         except ValueError:
-            raise ParseError(f"bad integer {raw!r}", path, lineno, col) from None
+            raise _TokenError(f"bad integer {raw!r}", k) from None
     return tuple(values)
 
 
-def _parse_bits_payload(
-    tokens: list[tuple[str, int]], path: str, lineno: int
-) -> tuple[tuple[int, ...], int]:
+def _parse_bits_payload(words: list[str]) -> tuple[tuple[int, ...], int]:
     bits = []
     orientation = 1
-    for pos, (tok, col) in enumerate(tokens):
+    for k in range(2, len(words)):
+        tok = words[k]
         if tok.startswith("orientation="):
-            if pos != len(tokens) - 1:
-                raise ParseError(
-                    "orientation flag must come last", path, lineno, col
-                )
+            if k != len(words) - 1:
+                raise _TokenError("orientation flag must come last", k)
             flag = tok.split("=", 1)[1]
             if flag == "+":
                 orientation = 1
             elif flag == "-":
                 orientation = -1
             else:
-                raise ParseError(
-                    f"orientation must be + or -, got {flag!r}", path, lineno, col
-                )
+                raise _TokenError(f"orientation must be + or -, got {flag!r}", k)
         elif tok in ("0", "1"):
             bits.append(int(tok))
         else:
-            raise ParseError(f"expected edge bit 0 or 1, got {tok!r}", path, lineno, col)
+            raise _TokenError(f"expected edge bit 0 or 1, got {tok!r}", k)
     if not bits:
-        raise ParseError("component needs at least one edge bit", path, lineno)
+        raise _TokenError("component needs at least one edge bit", None)
     return tuple(bits), orientation
 
 
@@ -191,33 +184,35 @@ def parse_file(path: str) -> list:
     statements = []
     for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0]
-        tokens = _tokens(line)
-        if not tokens:
+        words = line.split()
+        if not words:
             continue
-        directive, col = tokens[0]
-        if directive == "surface":
-            name = _parse_name(tokens, path, lineno)
-            scheme = _parse_surface_payload(tokens[2:], path, lineno)
-            statements.append(SurfaceStmt(name, scheme, path, lineno))
-        elif directive == "enhance":
-            name = _parse_name(tokens, path, lineno)
-            values = _parse_enhance_payload(tokens[2:], path, lineno)
-            statements.append(EnhanceStmt(name, values, path, lineno))
-        elif directive in ("circle", "interval"):
-            name = _parse_name(tokens, path, lineno)
-            bits, orientation = _parse_bits_payload(tokens[2:], path, lineno)
-            statements.append(
-                ComponentStmt(name, directive, bits, orientation, path, lineno)
-            )
-        elif directive == "point":
-            if len(tokens) != 2:
-                raise ParseError("usage: point <name>", path, lineno, col)
-            name, ncol = tokens[1]
-            if not _NAME_TOKEN.match(name):
-                raise ParseError(f"bad name {name!r}", path, lineno, ncol)
-            statements.append(PointStmt(name, path, lineno))
-        else:
-            raise ParseError(f"unknown directive {directive!r}", path, lineno, col)
+        directive = words[0]
+        try:
+            if directive == "surface":
+                name = _parse_name(words)
+                scheme = _parse_surface_payload(words)
+                statements.append(SurfaceStmt(name, scheme, path, lineno))
+            elif directive == "enhance":
+                name = _parse_name(words)
+                values = _parse_enhance_payload(words, 2)
+                statements.append(EnhanceStmt(name, values, path, lineno))
+            elif directive in ("circle", "interval"):
+                name = _parse_name(words)
+                bits, orientation = _parse_bits_payload(words)
+                statements.append(
+                    ComponentStmt(name, directive, bits, orientation, path, lineno)
+                )
+            elif directive == "point":
+                if len(words) != 2:
+                    raise _TokenError("usage: point <name>", 0)
+                if not _NAME_TOKEN.match(words[1]):
+                    raise _TokenError(f"bad name {words[1]!r}", 1)
+                statements.append(PointStmt(words[1], path, lineno))
+            else:
+                raise _TokenError(f"unknown directive {directive!r}", 0)
+        except _TokenError as exc:
+            raise exc.at(line, path, lineno) from exc
     return statements
 
 
@@ -225,42 +220,41 @@ def parse_theory(text: str) -> TheoryClass:
     """`ab=<0..7> [euler=<rational or Gaussian rational>]`."""
     from .tqft import TheoryClass
 
-    path = "<theory>"
-    tokens = _tokens(text)
     ab = None
     euler: GaussianRational | int = 1
-    euler_col = 1
+    euler_at = None
     seen = set()
-    for tok, col in tokens:
-        key, eq, raw = tok.partition("=")
-        if eq and key in seen:
-            raise ParseError(f"theory field {key!r} assigned twice", path, 1, col)
-        seen.add(key)
-        if key == "ab" and eq:
-            try:
-                ab = int(raw)
-            except ValueError:
-                raise ParseError(f"bad integer {raw!r}", path, 1, col) from None
-            if not 0 <= ab <= 7:
-                raise ParseError("ab must lie in 0..7", path, 1, col)
-        elif key == "euler" and eq:
-            try:
-                euler = _parse_gaussian(raw)
-            except OverflowError as exc:
-                raise ParseError(f"{exc} in {raw!r}", path, 1, col) from None
-            except (ValueError, ZeroDivisionError):
-                raise ParseError(
-                    f"bad Gaussian rational {raw!r}", path, 1, col
-                ) from None
-            euler_col = col
-        else:
-            raise ParseError(f"unknown theory field {tok!r}", path, 1, col)
-    if ab is None:
-        raise ParseError("theory needs ab=<0..7>", path, 1)
     try:
-        return TheoryClass(ab, euler)
-    except ValueError as exc:
-        raise ParseError(str(exc), path, 1, euler_col) from exc
+        for k, tok in enumerate(text.split()):
+            key, eq, raw = tok.partition("=")
+            if eq and key in seen:
+                raise _TokenError(f"theory field {key!r} assigned twice", k)
+            seen.add(key)
+            if key == "ab" and eq:
+                try:
+                    ab = int(raw)
+                except ValueError:
+                    raise _TokenError(f"bad integer {raw!r}", k) from None
+                if not 0 <= ab <= 7:
+                    raise _TokenError("ab must lie in 0..7", k)
+            elif key == "euler" and eq:
+                try:
+                    euler = _parse_gaussian(raw)
+                except OverflowError as exc:
+                    raise _TokenError(f"{exc} in {raw!r}", k) from None
+                except (ValueError, ZeroDivisionError):
+                    raise _TokenError(f"bad Gaussian rational {raw!r}", k) from None
+                euler_at = k
+            else:
+                raise _TokenError(f"unknown theory field {tok!r}", k)
+        if ab is None:
+            raise _TokenError("theory needs ab=<0..7>", None)
+        try:
+            return TheoryClass(ab, euler)
+        except ValueError as exc:
+            raise _TokenError(str(exc), euler_at) from exc
+    except _TokenError as exc:
+        raise exc.at(text, "<theory>", 1) from exc
 
 
 def _parse_gaussian(text: str) -> GaussianRational:
@@ -295,10 +289,6 @@ def _enc_gaussian(g: GaussianRational) -> dict:
     return {"re": _enc_fraction(g.re), "im": _enc_fraction(g.im)}
 
 
-def _render_fraction(f: Fraction) -> str:
-    return str(f)
-
-
 def _render_gaussian(g: GaussianRational) -> str:
     if g.im == 0:
         return str(g.re)
@@ -314,16 +304,7 @@ def _render_gaussian(g: GaussianRational) -> str:
     return f"{g.re}{sign}{im}"
 
 
-_SURD = {
-    0: "1",
-    1: "(1+i)/√2",
-    2: "i",
-    3: "(-1+i)/√2",
-    4: "-1",
-    5: "(-1-i)/√2",
-    6: "-i",
-    7: "(1-i)/√2",
-}
+_SURD = ("1", "(1+i)/√2", "i", "(-1+i)/√2", "-1", "(-1-i)/√2", "-i", "(1-i)/√2")
 
 
 def _render_root(exponent: int) -> str:
@@ -352,6 +333,10 @@ def _render_cyc8(value: Cyc8) -> str:
     return text
 
 
+class JSONText(str):
+    """A record field that is JSON text already, written as it is."""
+
+
 class Emitter:
     """Writes records as JSON lines or indented human text; `human` builds
     a record's text lines and is called in human mode only."""
@@ -366,10 +351,17 @@ class Emitter:
         limit = _int_digit_limit(0)
         try:
             if self.fmt == "structured":
-                print(
-                    json.dumps(record, sort_keys=True, separators=(",", ":")),
-                    file=self.stream,
+                # one dumps with NaN in each JSONText field's place: no float
+                # reaches a record, so '"key":NaN' marks exactly that place
+                texts = {k: v for k, v in record.items() if type(v) is JSONText}
+                line = json.dumps(
+                    {**record, **dict.fromkeys(texts, float("nan"))},
+                    sort_keys=True,
+                    separators=(",", ":"),
                 )
+                for key, text in texts.items():
+                    line = line.replace(f'"{key}":NaN', f'"{key}":{text}', 1)
+                print(line, file=self.stream)
             else:
                 for line in human():
                     print(line, file=self.stream)
@@ -395,6 +387,7 @@ def _collect(paths: Iterable[str]) -> list:
 
 
 def cmd_surface(paths: Sequence[str], emitter: Emitter) -> int:
+    from .f2 import json_rows
     from .surface import classify
 
     for stmt in _collect(paths):
@@ -411,7 +404,9 @@ def cmd_surface(paths: Sequence[str], emitter: Emitter) -> int:
             "vertex_count": info.vertex_count,
             "normal_form": normal.text(),
             "form_basis": list(form.basis_labels),
-            "gram": form.gram.to_lists(),
+            "gram": JSONText(
+                json_rows([row.mask for row in form.gram.rows], form.gram.ncols)
+            ),
         }
         emitter.emit(record, lambda: [
             f"surface {stmt.name}: {record['word']}",
@@ -419,7 +414,8 @@ def cmd_surface(paths: Sequence[str], emitter: Emitter) -> int:
             f" {'orientable' if info.orientable else 'non-orientable'},"
             f" {info.vertex_count} vertex(es), b1 = {info.betti1_mod2}",
             f"  normal form: {record['normal_form']}",
-            f"  intersection form on {record['form_basis']}: {record['gram']}",
+            f"  intersection form on {record['form_basis']}:"
+            f" {form.gram.to_lists()}",
         ])
     return 0
 
@@ -458,7 +454,10 @@ def _attach_enhancements(
                 1,
             )
         (surf,) = surfaces.values()
-        values = _parse_enhance_payload(_tokens(spec), "<enhance>", 1)
+        try:
+            values = _parse_enhance_payload(spec.split(), 0)
+        except _TokenError as exc:
+            raise exc.at(spec, "<enhance>", 1) from exc
         pairs.append((surf, EnhanceStmt(surf.name, values, "<enhance>", 1)))
     if not pairs:
         raise PreconditionError(
@@ -568,12 +567,9 @@ def cmd_majorana(paths: Sequence[str], cap_n: int, emitter: Emitter) -> int:
             + ("" if circle_class is None else f": {circle_class}"),
             f"  ground: dimension {report.ground_dimension},"
             f" parity {report.ground_parity},"
-            f" min eigenvalue {_render_fraction(report.min_eigenvalue)}",
+            f" min eigenvalue {report.min_eigenvalue}",
             "  spectrum: "
-            + ", ".join(
-                f"{_render_fraction(value)} x{mult}"
-                for value, mult in report.spectrum
-            ),
+            + ", ".join(f"{value} x{mult}" for value, mult in report.spectrum),
             f"  expected dimension {want_dim}, parity {want_parity}: {verdict}",
         ])
     return 0
@@ -686,7 +682,8 @@ def cmd_selftest(emitter: Emitter) -> int:
         )
     if emitter.fmt == "human":
         print(
-            "all checks passed" if report.all_passed else "some checks FAILED"
+            "all checks passed" if report.all_passed else "some checks FAILED",
+            file=emitter.stream,
         )
     return 0 if report.all_passed else 1
 

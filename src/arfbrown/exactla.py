@@ -2,13 +2,14 @@
 
 Integer matrices only.  The one runtime caller is `majorana`, which takes
 `rational_nullity` of the 8x4 commutant system of the interval's boundary
-module, as nested int lists.  The other functions are the tests' oracles:
-`modular_nullity` scans chain spectra over GF(p) (ranks over a prime field
-never exceed the rank over Q, so modular nullities that sum to the
-dimension are exact), and `solve_in_span` restricts operators to the
-ground space by Fraction elimination.  They stay here, not in the tests,
-only because the benchmark's tracer names them.  numpy is imported only
-inside `modular_nullity`.
+module, as nested int lists; it eliminates fraction-free (Bareiss), in
+ints.  The other functions are the tests' oracles: `modular_nullity` scans
+chain spectra over GF(p) (ranks over a prime field never exceed the rank
+over Q, so modular nullities that sum to the dimension are exact), and
+`solve_in_span` restricts operators to the ground space by `fraction_rref`,
+Fraction elimination.  They stay here, not in the tests, only because the
+benchmark's tracer names them.  numpy is imported only inside
+`modular_nullity`.
 """
 
 from __future__ import annotations
@@ -91,11 +92,28 @@ def fraction_rref(
 
 
 def rational_nullity(mat: Sequence[Sequence[int]]) -> int:
-    """Exact kernel dimension over Q of an integer matrix, given as rows."""
+    """Exact kernel dimension over Q of an integer matrix, given as rows.
+
+    Fraction-free (Bareiss) elimination: after each pivot the rows below
+    hold minors of the input, so dividing by the previous pivot is exact
+    and every entry stays an int.
+    """
     rows = [[int(v) for v in row] for row in mat]
     ncols = len(rows[0]) if rows else 0
-    _, pivots = fraction_rref(rows)
-    return ncols - len(pivots)
+    rank, prev = 0, 1
+    for c in range(ncols):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        top = rows[rank]
+        lead = top[c]
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][c]
+            rows[i] = [(lead * a - f * b) // prev for a, b in zip(rows[i], top)]
+        prev = lead
+        rank += 1
+    return ncols - rank
 
 
 def solve_in_span(

@@ -12,6 +12,7 @@ from typing import Iterable, Iterator, Sequence
 __all__ = [
     "F2Vector",
     "F2Matrix",
+    "json_rows",
     "rank",
     "symplectic_basis",
     "NotAlternating",
@@ -207,6 +208,22 @@ class F2Matrix:
 
     def __repr__(self) -> str:
         return f"F2Matrix({self.to_lists()})"
+
+
+def json_rows(masks: Sequence[int], n: int) -> str:
+    """The rows as compact JSON text of 0/1 lists, bit 0 first: the text of
+    ``json.dumps(rows, separators=(",", ":"))``.  Only bits below n count."""
+    if not n or not masks:
+        return "[" + ",".join(["[]"] * len(masks)) + "]"
+    # each row takes 2n + 2 bytes, "[d,d,...,d],", whose odd offsets hold
+    # its n digits and the closing comma, so one slice assignment writes
+    # every row; a numeral's last n digits read backwards are bits 0 to
+    # n - 1, and the bit at n keeps the leading zeros
+    text = bytearray(b"[" + b"0," * (n - 1) + b"0],") * len(masks)
+    top = 1 << n
+    text[1::2] = (",".join([bin(m | top)[:~n:-1] for m in masks]) + ",").encode()
+    text[-1] = ord("]")
+    return "[" + text.decode()
 
 
 def rank(m: F2Matrix) -> int:

@@ -2,6 +2,7 @@
 
 import argparse
 import contextlib
+import io
 import json
 import sys
 import time
@@ -10,7 +11,14 @@ from fractions import Fraction
 import pytest
 
 from arfbrown import surface
-from arfbrown.cli import MAX_LITERAL_EXPONENT, build_parser, main, parse_theory
+from arfbrown.cli import (
+    MAX_LITERAL_EXPONENT,
+    Emitter,
+    build_parser,
+    cmd_selftest,
+    main,
+    parse_theory,
+)
 from arfbrown.clifford import GaussianRational
 from arfbrown.majorana import ChainSetup, ground_states
 
@@ -429,6 +437,14 @@ def test_selftest_passes(capsys):
     assert main(["selftest"]) == 0
     out = capsys.readouterr().out
     assert "all checks passed" in out
+
+
+def test_selftest_human_text_goes_to_the_emitter_stream(capsys):
+    stream = io.StringIO()
+    assert cmd_selftest(Emitter("human", stream)) == 0
+    lines = stream.getvalue().splitlines()
+    assert len(lines) == 4 and lines[-1] == "all checks passed"
+    assert capsys.readouterr().out == ""
 
 
 def test_selftest_structured(capsys):

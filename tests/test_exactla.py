@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from arfbrown.exactla import (
     MOD_PRIMES,
@@ -74,3 +76,31 @@ def test_solve_in_span_roundtrip():
 def test_solve_in_span_detects_outside_vectors():
     basis = [[Fraction(1), Fraction(0), Fraction(0)]]
     assert solve_in_span(basis, [Fraction(0), Fraction(1), Fraction(0)]) is None
+
+
+@st.composite
+def _sparse_int_matrices(draw):
+    """Up to 8x8, with zero columns, zero rows and rows that combine two
+    others, so that ranks fall short."""
+    nrows, ncols = draw(st.integers(0, 8)), draw(st.integers(1, 8))
+    zero_cols = draw(st.sets(st.integers(0, ncols - 1)))
+    rows = []
+    for _ in range(nrows):
+        kind = draw(st.sampled_from(("free", "zero", "combination")))
+        if kind == "combination" and len(rows) >= 2:
+            k = draw(st.integers(-3, 3))
+            rows.append([k * a - b for a, b in zip(rows[0], rows[-1])])
+        elif kind == "zero":
+            rows.append([0] * ncols)
+        else:
+            row = draw(st.lists(st.integers(-9, 9), min_size=ncols, max_size=ncols))
+            rows.append([0 if c in zero_cols else v for c, v in enumerate(row)])
+    return rows
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(_sparse_int_matrices())
+def test_rational_nullity_agrees_with_fraction_rref(rows):
+    ncols = len(rows[0]) if rows else 0
+    _, pivots = fraction_rref(rows)
+    assert rational_nullity(rows) == ncols - len(pivots)

@@ -1,5 +1,6 @@
 """Bitset linear algebra over GF(2)."""
 
+import json
 import random
 
 import pytest
@@ -12,6 +13,7 @@ from arfbrown.f2 import (
     F2Vector,
     NotAlternating,
     OddDimension,
+    json_rows,
     rank,
     symplectic_basis,
 )
@@ -59,6 +61,36 @@ def test_bits_agree_with_the_per_bit_shift_up_to_200(case):
     want = [list(_shifted(mask >> k, n)) for k in range(3)]
     assert matrix.to_lists() == want
     assert repr(matrix) == f"F2Matrix({want})"
+
+
+def _json_reference(masks, n):
+    rows = F2Matrix([F2Vector.from_mask(m, n) for m in masks], ncols=n)
+    return json.dumps(rows.to_lists(), separators=(",", ":"))
+
+
+def test_json_rows_is_the_compact_dump_of_the_lists():
+    rng = random.Random(12)
+    for n in (0, 1, 7, 8, 9, 15, 16, 17, 63, 64, 65):
+        for nrows in (0, 1, 2, n):
+            # junk above bit n must not show
+            masks = [rng.getrandbits(n + 9) for _ in range(nrows)]
+            assert json_rows(masks, n) == _json_reference(masks, n)
+            assert json.loads(json_rows(masks, n)) == [
+                list(_shifted(m, n)) for m in masks
+            ]
+    assert json_rows([], 5) == "[]" and json_rows([0, 3], 0) == "[[],[]]"
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(st.integers(0, 300).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        st.lists(st.integers(0, (1 << (n + 8)) - 1), max_size=12),
+    )
+))
+def test_json_rows_agrees_with_to_lists_up_to_300(case):
+    n, masks = case
+    assert json_rows(masks, n) == _json_reference(masks, n)
 
 
 def test_vector_addition_is_xor():

@@ -1,10 +1,17 @@
 """The `surface` record: its human text byte for byte, its structured
-fields on multi-vertex words, and the work that one record costs."""
+fields on multi-vertex words, its structured line against a plain dump of
+the Gram lists, and the work that one record costs."""
 
+import io
 import json
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 import arfbrown.surface as surface
-from arfbrown.cli import Emitter, main
+from arfbrown.cli import Emitter, JSONText, cmd_surface, main
+from arfbrown.f2 import F2Matrix, F2Vector
+from test_properties import gluing_words, one_vertex_words
 
 WORDS = """\
 surface sphere: a a'
@@ -147,3 +154,80 @@ def test_one_validating_construction_per_surface_statement(
     assert main(["surface", "--format", "structured", _write(tmp_path, WORDS)]) == 0
     assert built == ["a a'", "a b a' b'", "a b c a b c", "a a b b c c"]
     assert len(capsys.readouterr().out.splitlines()) == 4
+
+
+def _reference_line(name, scheme):
+    """The structured record as a plain dump of the Gram lists."""
+    info, normal, form = surface.classify(scheme)
+    return json.dumps(
+        {
+            "record": "surface",
+            "name": name,
+            "word": scheme.text(),
+            "euler_char": info.euler_char,
+            "orientable": info.orientable,
+            "betti1": info.betti1_mod2,
+            "vertex_count": info.vertex_count,
+            "normal_form": normal.text(),
+            "form_basis": list(form.basis_labels),
+            "gram": form.gram.to_lists(),
+        },
+        sort_keys=True,
+        separators=(",", ":"),
+    )
+
+
+SPHERES = st.sampled_from(["a a'", "a b b' a'", "a b c c' b' a'"]).map(
+    surface.GluingScheme.from_text
+)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(st.lists(
+    st.one_of(SPHERES, gluing_words(40), one_vertex_words(40)),
+    min_size=1,
+    max_size=3,
+))
+def test_structured_records_equal_the_dump_of_the_gram_lists(
+    tmp_path_factory, schemes
+):
+    names = [f"S{k}" for k in range(len(schemes))]
+    path = tmp_path_factory.mktemp("words") / "words.surf"
+    path.write_text(
+        "".join(f"surface {n}: {s.text()}\n" for n, s in zip(names, schemes))
+    )
+    stream = io.StringIO()
+    assert cmd_surface([str(path)], Emitter("structured", stream)) == 0
+    assert stream.getvalue() == "".join(
+        _reference_line(n, s) + "\n" for n, s in zip(names, schemes)
+    )
+
+
+def test_structured_surface_builds_no_bit_lists(tmp_path, capsys, monkeypatch):
+    calls = []
+    to_lists, bits = F2Matrix.to_lists, F2Vector.bits
+
+    def counting_lists(self):
+        calls.append("to_lists")
+        return to_lists(self)
+
+    def counting_bits(self):
+        calls.append("bits")
+        return bits.fget(self)
+
+    monkeypatch.setattr(F2Matrix, "to_lists", counting_lists)
+    monkeypatch.setattr(F2Vector, "bits", property(counting_bits))
+    path = _write(tmp_path, WORDS + "surface big: a b c d e f a' b' c' d' e' f'\n")
+    assert main(["surface", "--format", "structured", path]) == 0
+    assert calls == []
+    assert len(capsys.readouterr().out.splitlines()) == 5
+    # the human text still prints the lists
+    assert main(["surface", _write(tmp_path, WORDS)]) == 0
+    assert capsys.readouterr().out == HUMAN and calls.count("to_lists") == 4
+
+
+def test_json_text_fields_sit_at_their_sorted_key():
+    stream = io.StringIO()
+    record = {"record": "r", "b": JSONText("[[0,1]]"), "a": None, "c": 'x"b":NaN'}
+    Emitter("structured", stream).emit(record, lambda: [])
+    assert stream.getvalue() == '{"a":null,"b":[[0,1]],"c":"x\\"b\\":NaN","record":"r"}\n'
