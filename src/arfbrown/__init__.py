@@ -1,10 +1,11 @@
 """Exact invariants of combinatorial surfaces and the Majorana chain.
 
 Subpackages by topic: GF(2) linear algebra (f2), polygon gluing words
-(surface), Z/4 quadratic enhancements and Gauss sums (quadform), graded
-Clifford algebras (clifford), combinatorial structures on 1-manifolds
-(pin1), the chain Hamiltonian and its exact spectra (majorana), the
-theory evaluator (tqft), and the command line (cli).  The package exports
+(surface), Z/4 quadratic enhancements and Gauss sums (quadform), Gaussian
+rationals, Clifford signatures and the supermodule of generator words
+(clifford), combinatorial structures on 1-manifolds (pin1), the chain
+Hamiltonian and its exact spectra (majorana), the theory evaluator
+(tqft), and the command line (cli).  The package exports
 every name in the `__all__` of its runtime modules, and no other.  The
 namespace is lazy: `import arfbrown` loads no submodule, and a module
 loads on the first use of a name that needs it.

@@ -41,7 +41,7 @@ class SignedPerm:
 
 
 def majoranas(n: int) -> tuple[dict[int, SignedPerm], dict[int, SignedPerm]]:
-    """Every factor's +1 and -1 generator (the cl11_rep pair), as c and d.
+    """Every factor's +1 and -1 generator, as c and d.
 
     Factor v's generators flip bit v with the Koszul sign (-1)^{number of
     odd factors before v}; the -1 generator also negates the lowering

@@ -14,7 +14,8 @@ form basis.  Structured output is one JSON record per line with exact
 number encodings only: integers, [numerator, denominator] pairs for
 rationals, {re, im} pairs for Gaussian rationals, and 4-tuples of integers
 for elements of Z[zeta8].  Exit codes: 0 success, 1 failing selftest,
-2 parse error, 3 precondition violation, 4 cap exceeded.
+2 parse error, 3 precondition violation, 4 cap exceeded, 5 failed runtime
+certificate.
 """
 
 from __future__ import annotations
@@ -26,7 +27,14 @@ import re
 import sys
 from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence
 
-from .errors import CapExceeded, DimensionMismatch, HasBoundary, NotSpin, ParityViolation
+from .errors import (
+    CapExceeded,
+    CertificateError,
+    DimensionMismatch,
+    HasBoundary,
+    NotSpin,
+    ParityViolation,
+)
 
 if TYPE_CHECKING:  # each command imports the modules it runs
     from fractions import Fraction
@@ -784,6 +792,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except CertificateError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 5
 
 
 if __name__ == "__main__":

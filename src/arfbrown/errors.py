@@ -8,6 +8,7 @@ __all__ = [
     "NotSpin",
     "ParityViolation",
     "HasBoundary",
+    "CertificateError",
 ]
 
 
@@ -29,3 +30,7 @@ class ParityViolation(ValueError):
 
 class HasBoundary(ValueError):
     """A closed-manifold operation was given interval components."""
+
+
+class CertificateError(ArithmeticError):
+    """A runtime certificate failed, so the exact result is not trusted."""

@@ -26,7 +26,7 @@ from math import prod
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from .clifford import evaluate_on_empty
-from .errors import HasBoundary
+from .errors import CertificateError, HasBoundary
 from .exactla import rational_nullity
 from .pin1 import Circle, Interval
 
@@ -136,14 +136,14 @@ def _epsilon_word(n: int) -> list[int]:
 
 
 def _edge_words(setup: ChainSetup) -> list[tuple[int, list[int]]]:
-    """The edge terms, certified: ArithmeticError unless each squares to 1
+    """The edge terms, certified: CertificateError unless each squares to 1
     and no generator occurs in two of them (then they commute)."""
     words = _edge_terms(setup)
     if any(evaluate_on_empty([*word, *word]) != (1, 0) for _, word in words):
-        raise ArithmeticError("an edge term does not square to 1")
+        raise CertificateError("an edge term does not square to 1")
     used = [g for _, word in words for g in word]
     if len(set(used)) != len(used):
-        raise ArithmeticError(
+        raise CertificateError(
             "two edge terms share a Majorana generator, so they need not commute"
         )
     return words
@@ -187,7 +187,7 @@ def _ground_report(setup: ChainSetup) -> tuple[GroundStateReport, list]:
         # +-(-1)^F, and it is (-1)^E on the ground line
         sign, mask = evaluate_on_empty([g for _, word in words for g in word])
         if mask:
-            raise ArithmeticError("the product of all T_e moves the empty subset")
+            raise CertificateError("the product of all T_e moves the empty subset")
         sign *= prod(s for s, _ in words) * (-1) ** edge_count
         parity = "odd" if sign == -1 else "even"
     else:
@@ -293,7 +293,7 @@ def _restrict(
     is the set of generators of the edge terms.
     """
     if used.intersection(word):
-        raise ArithmeticError(
+        raise CertificateError(
             "the operator shares a generator with an edge term,"
             " so it does not preserve the ground space"
         )
@@ -309,7 +309,7 @@ def _restrict(
                 sign *= -s
         rho, reached = evaluate_on_empty([*path, *_PROBES[other]])
         if reached != m:
-            raise ArithmeticError(
+            raise CertificateError(
                 "no edge set carries the other ground line onto the image"
             )
         out[other][parity] = sign * rho

@@ -22,7 +22,7 @@ from __future__ import annotations
 from itertools import product
 from typing import Mapping
 
-from .errors import DimensionMismatch, NotSpin, ParityViolation
+from .errors import CertificateError, DimensionMismatch, NotSpin, ParityViolation
 from .f2 import F2Vector, symplectic_basis
 from .surface import IntersectionForm
 
@@ -39,7 +39,7 @@ __all__ = [
 ]
 
 
-class NotRootOfUnity(ArithmeticError):
+class NotRootOfUnity(CertificateError):
     """A Gauss sum failed to match zeta8^k * sqrt(2)^dim for every k."""
 
 

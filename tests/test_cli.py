@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from arfbrown import surface
+from arfbrown import quadform, surface
 from arfbrown.cli import (
     MAX_LITERAL_EXPONENT,
     Emitter,
@@ -134,6 +134,18 @@ def test_inline_enhance_needs_single_surface(tmp_path, capsys):
 def test_enhance_unknown_label_is_exit_2(tmp_path, capsys):
     path = _write(tmp_path, "p.surf", "surface P: a a\nenhance P: z=1\n")
     assert main(["arf-brown", path]) == 2
+
+
+@pytest.mark.parametrize("fmt", ["human", "structured"])
+def test_arf_brown_failed_certificate_is_exit_5(tmp_path, capsys, monkeypatch, fmt):
+    def fail(q):
+        raise quadform.NotRootOfUnity("the Gauss sum missed every zeta8^k")
+
+    monkeypatch.setattr(quadform, "_brown_exponent", fail)
+    path = _write(tmp_path, "k.surf", "surface K: a a b b\nenhance K: a=1 b=3\n")
+    assert main(["arf-brown", "--format", fmt, path]) == 5
+    err = capsys.readouterr().err
+    assert err == "error: the Gauss sum missed every zeta8^k\n"
 
 
 def test_arf_brown_cap_dim(tmp_path, capsys):

@@ -12,6 +12,7 @@ import pytest
 import chain_oracle
 from arfbrown import majorana
 from arfbrown._dense import majoranas, render
+from arfbrown.cli import main
 from arfbrown.clifford import Signature, evaluate_on_empty, irreducible_supermodule
 from arfbrown.exactla import MOD_PRIMES, modular_nullity, solve_in_span
 from arfbrown.majorana import (
@@ -197,23 +198,37 @@ def _missing_generator(setup):
     return _edge_terms(setup)[:-1]
 
 
-@pytest.mark.parametrize(
-    "corrupt, n, message",
-    [
-        (_flip_one_sign, 3, "square"),
-        (lambda setup: _edge_terms(setup) + [(1, [0])], 3, "commute"),
-        pytest.param(
-            _shared_generator, 3, "share a Majorana generator", id="shared-generator"
-        ),
-        pytest.param(
-            _missing_generator, 3, "moves the empty subset", id="missing-generator"
-        ),
-    ],
-)
+_BROKEN_TERMS = [
+    (_flip_one_sign, 3, "square"),
+    (lambda setup: _edge_terms(setup) + [(1, [0])], 3, "commute"),
+    pytest.param(
+        _shared_generator, 3, "share a Majorana generator", id="shared-generator"
+    ),
+    pytest.param(
+        _missing_generator, 3, "moves the empty subset", id="missing-generator"
+    ),
+]
+
+
+@pytest.mark.parametrize("corrupt, n, message", _BROKEN_TERMS)
 def test_runtime_certificates_reject_broken_terms(monkeypatch, corrupt, n, message):
     monkeypatch.setattr(majorana, "_edge_terms", corrupt)
     with pytest.raises(ArithmeticError, match=message):
         ground_states(ChainSetup.circle((0,) + (1,) * (n - 1)))
+
+
+@pytest.mark.parametrize("fmt", ["human", "structured"])
+@pytest.mark.parametrize("corrupt, n, message", _BROKEN_TERMS)
+def test_failed_certificate_exits_5_with_a_message(
+    monkeypatch, tmp_path, capsys, corrupt, n, message, fmt
+):
+    path = tmp_path / "c.surf"
+    path.write_text(f"circle c: {' '.join(['0'] + ['1'] * (n - 1))}\n")
+    monkeypatch.setattr(majorana, "_edge_terms", corrupt)
+    assert main(["majorana", "--format", fmt, str(path)]) == 5
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert "Traceback" not in err
 
 
 def test_single_vertex_frozen_matrices():
