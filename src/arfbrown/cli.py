@@ -412,9 +412,7 @@ def cmd_surface(paths: Sequence[str], emitter: Emitter) -> int:
             "vertex_count": info.vertex_count,
             "normal_form": normal.text(),
             "form_basis": list(form.basis_labels),
-            "gram": JSONText(
-                json_rows([row.mask for row in form.gram.rows], form.gram.ncols)
-            ),
+            "gram": JSONText(json_rows(form.rows, form.dim)),
         }
         emitter.emit(record, lambda: [
             f"surface {stmt.name}: {record['word']}",
@@ -423,7 +421,7 @@ def cmd_surface(paths: Sequence[str], emitter: Emitter) -> int:
             f" {info.vertex_count} vertex(es), b1 = {info.betti1_mod2}",
             f"  normal form: {record['normal_form']}",
             f"  intersection form on {record['form_basis']}:"
-            f" {form.gram.to_lists()}",
+            f" {[[r >> j & 1 for j in range(form.dim)] for r in form.rows]}",
         ])
     return 0
 

@@ -47,18 +47,6 @@ class GaussianRational:
         self._a, self._b, self._d = int(re * d), int(im * d), d
 
     @classmethod
-    def zero(cls) -> GaussianRational:
-        return _reduced(0, 0, 1)
-
-    @classmethod
-    def one(cls) -> GaussianRational:
-        return _reduced(1, 0, 1)
-
-    @classmethod
-    def i(cls) -> GaussianRational:
-        return _reduced(0, 1, 1)
-
-    @classmethod
     def coerce(cls, value: GaussianRational | Fraction | int) -> GaussianRational:
         z = _operand(value)
         if z is None:
@@ -103,13 +91,6 @@ class GaussianRational:
         return _reduced(a * c - b * e, a * e + b * c, self._d * other._d)
 
     __rmul__ = __mul__
-
-    def conjugate(self) -> GaussianRational:
-        return _reduced(self._a, -self._b, self._d)
-
-    def norm(self) -> Fraction:
-        """|z|^2 = z * conj(z), a nonnegative rational."""
-        return Fraction(self._a * self._a + self._b * self._b, self._d * self._d)
 
     def inverse(self) -> GaussianRational:
         """d / (a + b i) = (a d - b d i) / (a^2 + b^2)."""

@@ -23,7 +23,7 @@ from itertools import product
 from typing import Mapping
 
 from .errors import CertificateError, DimensionMismatch, NotSpin, ParityViolation
-from .f2 import F2Vector, symplectic_basis
+from .f2 import symplectic_basis
 from .surface import IntersectionForm
 
 __all__ = [
@@ -209,11 +209,12 @@ class Enhancement:
         normalized: dict[str, int] = {}
         for i, label in enumerate(form.basis_labels):
             v = int(values[label]) % 4
-            if v % 2 != form.gram.entry(i, i):
+            self_pairing = form.rows[i] >> i & 1
+            if v % 2 != self_pairing:
                 raise ParityViolation(
                     f"q({label}) = {v} has the wrong parity; the self-pairing"
-                    f" is {form.gram.entry(i, i)} so q({label}) must be"
-                    f" {form.gram.entry(i, i)} mod 2"
+                    f" is {self_pairing} so q({label}) must be"
+                    f" {self_pairing} mod 2"
                 )
             normalized[label] = v
         self._form = form
@@ -237,7 +238,7 @@ class Enhancement:
     def is_even_valued(self) -> bool:
         return all(v % 2 == 0 for v in self._values.values())
 
-    def evaluate(self, x: F2Vector) -> int:
+    def evaluate(self, x: int) -> int:
         return evaluate(self, x)
 
     def __eq__(self, other: object) -> bool:
@@ -255,19 +256,26 @@ class Enhancement:
         return f"Enhancement({vals})"
 
 
-def evaluate(q: Enhancement, x: F2Vector) -> int:
-    """q(x) in Z/4, by expanding x over the basis with the quadratic law."""
+def evaluate(q: Enhancement, x: int) -> int:
+    """q(x) in Z/4 for the class whose support over the basis is the mask x.
+
+    By the quadratic law, q(x) is the sum over the support of q(e_i) plus
+    2 I(e_i, e_j) for each j < i in the support, the popcount of rows[i]
+    masked by the bits of x below i.
+    """
     form = q.form
-    if len(x) != form.dim:
+    if x < 0 or x >> form.dim:
         raise DimensionMismatch(
-            f"vector of length {len(x)} against a form of dimension {form.dim}"
+            f"class mask {x} has a bit outside a form of dimension {form.dim}"
         )
     total = 0
-    support = [i for i in range(form.dim) if x[i]]
-    for pos, i in enumerate(support):
+    rest = x
+    while rest:
+        low = rest & -rest
+        i = low.bit_length() - 1
         total += q.basis_value(form.basis_labels[i])
-        for j in support[pos + 1 :]:
-            total += 2 * form.gram.entry(i, j)
+        total += 2 * (form.rows[i] & x & (low - 1)).bit_count()
+        rest ^= low
     return total % 4
 
 
@@ -278,8 +286,8 @@ def enumerate_enhancements(form: IntersectionForm) -> list[Enhancement]:
     its self-pairing; the torsor over H^1 is enumerated as their product.
     """
     choices = []
-    for i in range(form.dim):
-        base = form.gram.entry(i, i)
+    for i, row in enumerate(form.rows):
+        base = row >> i & 1
         choices.append((base, base + 2))
     out = []
     for combo in product(*choices):
@@ -298,7 +306,7 @@ def arf(q: Enhancement) -> int:
     """
     if not q.is_even_valued():
         raise NotSpin("enhancement takes odd values; no Z/2 refinement")
-    pairs = symplectic_basis(q.form.gram)
+    pairs = symplectic_basis(q.form.rows)
     total = 0
     for e, f in pairs:
         total += (evaluate(q, e) // 2) * (evaluate(q, f) // 2)
@@ -320,7 +328,7 @@ def _brown_exponent(q: Enhancement) -> int:
     """
     form = q.form
     classes = [
-        (1 << i, form.gram.rows[i].mask, q.basis_value(label))
+        (1 << i, form.rows[i], q.basis_value(label))
         for i, label in enumerate(form.basis_labels)
     ]
     k = 0

@@ -4,19 +4,17 @@ A word is a cyclic sequence of signed letters in which every letter occurs
 exactly twice; it encodes a polygon whose sides are identified in pairs.
 This module computes the Euler characteristic, orientability, the canonical
 word from the classification of surfaces, and the mod-2 intersection form on
-first homology, on which enhancements live: a one-vertex word's own form
-(``intersection_form``), or for any word the form of a one-vertex word of the
-same surface (``surface_form``).  Each is one pass over the word;
-``classify`` gives the classification, the canonical word and
-``surface_form`` from one ``analyze``.
+first homology, one int mask per Gram row, on which enhancements live: a
+one-vertex word's own form (``intersection_form``), or for any word the form
+of a one-vertex word of the same surface (``surface_form``).  Each is one
+pass over the word; ``classify`` gives the classification, the canonical
+word and ``surface_form`` from one ``analyze``.
 """
 
 from __future__ import annotations
 
 from itertools import count
 from typing import Iterable, NamedTuple
-
-from .f2 import F2Matrix, F2Vector
 
 __all__ = [
     "GluingScheme",
@@ -128,10 +126,11 @@ class SurfaceInfo(NamedTuple):
 
 
 class IntersectionForm(NamedTuple):
-    """The mod-2 intersection pairing on H_1, as a Gram matrix over GF(2)."""
+    """The mod-2 intersection pairing on H_1, as Gram row masks over GF(2):
+    bit j of rows[i] is I(e_i, e_j), e_i being basis_labels[i]."""
 
     basis_labels: tuple[str, ...]
-    gram: F2Matrix
+    rows: tuple[int, ...]
 
     @property
     def dim(self) -> int:
@@ -250,7 +249,7 @@ def _form(s: GluingScheme, info: SurfaceInfo) -> IntersectionForm:
     occurrence XOR the mask at its first, plus the diagonal bit.
     """
     if info.betti1_mod2 == 0:
-        return IntersectionForm(basis_labels=(), gram=F2Matrix([], ncols=0))
+        return IntersectionForm(basis_labels=(), rows=())
     index: dict[str, int] = {}
     first_exp: list[int] = []
     rows: list[int] = []  # mask at the first occurrence, then the Gram row
@@ -265,9 +264,7 @@ def _form(s: GluingScheme, info: SurfaceInfo) -> IntersectionForm:
         else:
             rows[i] = (rows[i] ^ seen_once) | ((exp == first_exp[i]) << i)
             seen_once ^= 1 << i
-    dim = len(rows)
-    gram = F2Matrix([F2Vector.from_mask(r, dim) for r in rows], ncols=dim)
-    return IntersectionForm(basis_labels=tuple(index), gram=gram)
+    return IntersectionForm(basis_labels=tuple(index), rows=tuple(rows))
 
 
 def intersection_form(s: GluingScheme) -> IntersectionForm:

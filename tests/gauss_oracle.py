@@ -4,7 +4,6 @@ It tabulates q on all 2^dim classes of H_1, so it is exponential in the
 form's dimension and lives here, not in the package.
 """
 
-from arfbrown.f2 import F2Matrix
 from arfbrown.quadform import Cyc8, Enhancement, NotRootOfUnity, RootOfUnity8
 from arfbrown.surface import IntersectionForm
 
@@ -13,13 +12,12 @@ def q_table(q: Enhancement) -> list[int]:
     """q on every class, indexed by the support bitmask over the basis."""
     form = q.form
     dim = form.dim
-    row_masks = [form.gram.rows[i].mask for i in range(dim)]
     qb = [q.basis_value(form.basis_labels[i]) for i in range(dim)]
     table = [0] * (1 << dim)
     for j in range(dim):
         bit = 1 << j
         for mask in range(bit):
-            cross = (mask & row_masks[j]).bit_count() & 1
+            cross = (mask & form.rows[j]).bit_count() & 1
             table[mask | bit] = (table[mask] + qb[j] + 2 * cross) % 4
     return table
 
@@ -53,18 +51,14 @@ def block_sum(pieces: list[Enhancement]) -> Enhancement:
     values = {}
     rows = []
     offset = 0
-    total = sum(q.dim for q in pieces)
     for p, q in enumerate(pieces):
         form = q.form
         for label in form.basis_labels:
             new = f"p{p}_{label}"
             labels.append(new)
             values[new] = q.basis_value(label)
-        for i in range(form.dim):
-            row = [0] * total
-            for j in range(form.dim):
-                row[offset + j] = form.gram.entry(i, j)
-            rows.append(row)
+        # a piece's rows, shifted to its block of columns
+        rows.extend(row << offset for row in form.rows)
         offset += form.dim
-    big = IntersectionForm(tuple(labels), F2Matrix(rows, ncols=total))
+    big = IntersectionForm(tuple(labels), tuple(rows))
     return Enhancement(big, values)

@@ -10,7 +10,6 @@ with it on one word; ``random_scheme`` draws the words.
 
 from itertools import islice
 
-from arfbrown.f2 import F2Matrix
 from arfbrown.surface import (
     GluingScheme,
     IntersectionForm,
@@ -95,7 +94,7 @@ def oracle_intersection_form(s: GluingScheme) -> IntersectionForm:
     package on a word with more than one vertex and b1 > 0."""
     info = oracle_analyze(s)
     if info.betti1_mod2 == 0:
-        return IntersectionForm(basis_labels=(), gram=F2Matrix([], ncols=0))
+        return IntersectionForm(basis_labels=(), rows=())
     if info.vertex_count != 1:
         raise MultipleVertices(f"scheme has {info.vertex_count} vertices")
     labels = s.letters
@@ -105,14 +104,17 @@ def oracle_intersection_form(s: GluingScheme) -> IntersectionForm:
         positions.setdefault(letter, []).append(i)
         signs.setdefault(letter, []).append(exp)
     dim = len(labels)
-    gram = [[0] * dim for _ in range(dim)]
+    rows = [0] * dim
     for i, a in enumerate(labels):
-        gram[i][i] = 1 if signs[a][0] == signs[a][1] else 0
+        if signs[a][0] == signs[a][1]:
+            rows[i] |= 1 << i
         p1, p2 = positions[a]
         for j in range(i + 1, dim):
             inside = sum(1 for q in positions[labels[j]] if p1 < q < p2)
-            gram[i][j] = gram[j][i] = inside % 2
-    return IntersectionForm(basis_labels=labels, gram=F2Matrix(gram))
+            if inside % 2:
+                rows[i] |= 1 << j
+                rows[j] |= 1 << i
+    return IntersectionForm(basis_labels=labels, rows=tuple(rows))
 
 
 def oracle_surface_form(s: GluingScheme) -> IntersectionForm:

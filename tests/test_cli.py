@@ -366,7 +366,7 @@ def test_tqft_honours_cap_dim(tmp_path, capsys):
 
 
 def test_parse_theory_gaussian_literals():
-    assert parse_theory("ab=1").euler_weight == GaussianRational.one()
+    assert parse_theory("ab=1").euler_weight == GaussianRational(1)
     assert parse_theory("ab=1 euler=-1/2").euler_weight == GaussianRational(
         Fraction(-1, 2)
     )

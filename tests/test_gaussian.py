@@ -55,8 +55,6 @@ def test_field_operations_match_the_oracle(x, y):
     _agree(g - h, p - q)
     _agree(g * h, p * q)
     _agree(-g, -p)
-    _agree(g.conjugate(), p.conjugate())
-    assert g.norm() == p.norm() and type(g.norm()) is Fraction
     assert g.is_zero() == p.is_zero()
     if q.is_zero():
         with pytest.raises(ZeroDivisionError):
@@ -66,7 +64,7 @@ def test_field_operations_match_the_oracle(x, y):
     else:
         _agree(g / h, p / q)
         _agree(h.inverse(), q.inverse())
-    for r in (g + h, g * h, g.conjugate()):
+    for r in (g + h, g - h, g * h):
         assert _is_reduced(r)
 
 

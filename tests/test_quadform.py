@@ -2,11 +2,9 @@
 
 import random
 from fractions import Fraction
-from itertools import product
 
 import pytest
 
-from arfbrown.f2 import F2Matrix, F2Vector
 from arfbrown.quadform import (
     Cyc8,
     DimensionMismatch,
@@ -132,19 +130,21 @@ def test_values_normalized_mod_4():
     assert q.values == {"a": 2, "b": 2}
 
 
+def _pairing(rows, x: int, y: int) -> int:
+    """I(x, y): the popcounts of y against the rows on x's support, mod 2."""
+    return sum((r & y).bit_count() for i, r in enumerate(rows) if x >> i & 1) % 2
+
+
 def test_quadratic_law_exhaustive_small():
     for text in ["a a", "a b a' b'", "a a b b", "a a b b c c"]:
         form = _form(text)
-        gram = form.gram
         for q in enumerate_enhancements(form):
-            vecs = [
-                F2Vector(bits) for bits in product((0, 1), repeat=form.dim)
-            ]
+            vecs = range(1 << form.dim)
             for x in vecs:
                 for y in vecs:
-                    pairing = x.dot(gram.mv(y))
+                    pairing = _pairing(form.rows, x, y)
                     assert (
-                        evaluate(q, x + y)
+                        evaluate(q, x ^ y)
                         == (evaluate(q, x) + evaluate(q, y) + 2 * pairing) % 4
                     )
 
@@ -154,31 +154,34 @@ def test_evaluate_matches_incremental_expansion():
     rng = random.Random(17)
     for text in ["a b a' b' c d c' d'", "a a b b c c d d"]:
         form = _form(text)
-        gram = form.gram
         dim = form.dim
         for _ in range(5):
             q = rng.choice(enumerate_enhancements(form))
-            x = F2Vector([rng.randint(0, 1) for _ in range(dim)])
-            support = [i for i in range(dim) if x[i]]
+            bits = [rng.randint(0, 1) for _ in range(dim)]
+            x = sum(b << i for i, b in enumerate(bits))
+            support = [i for i in range(dim) if bits[i]]
             rng.shuffle(support)
-            acc_vec = F2Vector.zero(dim)
+            acc_vec = 0
             acc_val = 0
             for i in support:
-                e = F2Vector.basis_vector(dim, i)
+                e = 1 << i
                 acc_val = (
                     acc_val
                     + q.basis_value(form.basis_labels[i])
-                    + 2 * acc_vec.dot(gram.mv(e))
+                    + 2 * _pairing(form.rows, acc_vec, e)
                 ) % 4
-                acc_vec = acc_vec + e
+                acc_vec ^= e
             assert acc_val == evaluate(q, x)
+            assert acc_val == q.evaluate(x)
 
 
 def test_evaluate_rejects_wrong_length():
     form = _form("a b a' b'")
     q = Enhancement(form, {"a": 0, "b": 0})
-    with pytest.raises(DimensionMismatch):
-        evaluate(q, F2Vector([1, 0, 1]))
+    # a class mask with a bit at or above the dimension, or a negative one
+    for x in (0b101, 1 << form.dim, -1):
+        with pytest.raises(DimensionMismatch):
+            evaluate(q, x)
 
 
 def test_enhancement_count_is_two_to_dim():
@@ -192,7 +195,7 @@ def test_parity_pattern_is_constant_on_enhancements():
     form = _form("a a b b")
     for q in enumerate_enhancements(form):
         for i, label in enumerate(form.basis_labels):
-            assert q.basis_value(label) % 2 == form.gram.entry(i, i)
+            assert q.basis_value(label) % 2 == form.rows[i] >> i & 1
 
 
 # ------------------------------------------------------------ Arf invariant
@@ -237,7 +240,7 @@ def test_torus_framing_gauss_sum():
     q = Enhancement(form, {"a": 2, "b": 2})
     assert gauss_sum(q) == Cyc8(-2, 0, 0, 0)
     assert arf_brown(q).exponent == 4
-    assert evaluate(q, F2Vector([1, 1])) == 2
+    assert evaluate(q, 0b11) == 2
 
 
 def test_klein_bottle_exponent_multiset():
@@ -254,8 +257,8 @@ def test_gauss_sum_matches_brute_force():
         form = _form(text)
         for q in enumerate_enhancements(form):
             brute = Cyc8.zero()
-            for bits in product((0, 1), repeat=form.dim):
-                brute = brute + Cyc8.i_power(evaluate(q, F2Vector(bits)))
+            for x in range(1 << form.dim):
+                brute = brute + Cyc8.i_power(evaluate(q, x))
             assert gauss_sum(q) == brute
 
 
@@ -342,7 +345,7 @@ def test_split_matches_enumeration():
             continue
         dims.add(form.dim)
         values = {
-            label: form.gram.entry(i, i) + 2 * rng.randint(0, 1)
+            label: (form.rows[i] >> i & 1) + 2 * rng.randint(0, 1)
             for i, label in enumerate(form.basis_labels)
         }
         _assert_split_matches_enumeration(Enhancement(form, values))
@@ -350,9 +353,9 @@ def test_split_matches_enumeration():
 
 
 def test_degenerate_forms_are_not_roots_of_unity():
-    for rows in ([[0]], [[1, 0], [0, 0]]):
+    for rows in ((0b0,), (0b01, 0b00)):
         labels = tuple("ab"[: len(rows)])
-        form = IntersectionForm(labels, F2Matrix(rows, ncols=len(rows)))
+        form = IntersectionForm(labels, rows)
         for q in enumerate_enhancements(form):
             with pytest.raises(NotRootOfUnity):
                 arf_brown(q)

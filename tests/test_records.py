@@ -8,7 +8,6 @@ import pytest
 
 from arfbrown.cli import ComponentStmt, EnhanceStmt, PointStmt, SurfaceStmt
 from arfbrown.clifford import GaussianRational, Signature
-from arfbrown.f2 import F2Matrix
 from arfbrown.majorana import (
     ChainSetup,
     GroundStateReport,
@@ -77,7 +76,7 @@ VALUES = {
         "euler_char": 0, "orientable": True, "betti1_mod2": 2, "vertex_count": 1,
     },
     IntersectionForm: lambda: {
-        "basis_labels": ("a", "b"), "gram": F2Matrix([[0, 1], [1, 0]]),
+        "basis_labels": ("a", "b"), "rows": (0b10, 0b01),
     },
     SuperalgebraValue: lambda: {"signature": Signature.cl(2)},
     SuperLineValue: lambda: {"parity": "even"},

@@ -81,17 +81,17 @@ def test_normalize_is_canonical():
 def test_torus_intersection_form():
     form = intersection_form(GluingScheme.from_text("a b a' b'"))
     assert form.basis_labels == ("a", "b")
-    assert form.gram.to_lists() == [[0, 1], [1, 0]]
+    assert form.rows == (0b10, 0b01)
 
 
 def test_projective_plane_intersection_form():
     form = intersection_form(GluingScheme.from_text("a a"))
-    assert form.gram.to_lists() == [[1]]
+    assert form.rows == (0b1,)
 
 
 def test_klein_bottle_intersection_form():
     form = intersection_form(GluingScheme.from_text("a a b b"))
-    assert form.gram.to_lists() == [[1, 0], [0, 1]]
+    assert form.rows == (0b01, 0b10)
 
 
 def test_sphere_form_is_empty():
@@ -172,16 +172,17 @@ def test_normal_form_intersection_form_shape():
         info = analyze(s)
         form = intersection_form(normalize(s))
         assert form.dim == 2 - info.euler_char
-        assert form.gram.is_symmetric()
+        rows = form.rows
+        assert all(0 <= r < 1 << form.dim for r in rows)
+        assert all(
+            rows[i] >> j & 1 == rows[j] >> i & 1
+            for i in range(form.dim)
+            for j in range(form.dim)
+        )
         if info.orientable:
-            assert all(
-                form.gram.entry(i, i) == 0 for i in range(form.dim)
-            )
+            assert all(rows[i] >> i & 1 == 0 for i in range(form.dim))
         else:
-            assert form.gram.to_lists() == [
-                [1 if i == j else 0 for j in range(form.dim)]
-                for i in range(form.dim)
-            ]
+            assert rows == tuple(1 << i for i in range(form.dim))
 
 
 def test_random_scheme_is_valid():

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 import arfbrown.surface as surface
 from arfbrown.cli import Emitter, JSONText, cmd_surface, main
-from arfbrown.f2 import F2Matrix, F2Vector
 from test_properties import gluing_words, one_vertex_words
 
 WORDS = """\
@@ -170,7 +169,7 @@ def _reference_line(name, scheme):
             "vertex_count": info.vertex_count,
             "normal_form": normal.text(),
             "form_basis": list(form.basis_labels),
-            "gram": form.gram.to_lists(),
+            "gram": [[(r >> j) % 2 for j in range(form.dim)] for r in form.rows],
         },
         sort_keys=True,
         separators=(",", ":"),
@@ -203,27 +202,13 @@ def test_structured_records_equal_the_dump_of_the_gram_lists(
     )
 
 
-def test_structured_surface_builds_no_bit_lists(tmp_path, capsys, monkeypatch):
-    calls = []
-    to_lists, bits = F2Matrix.to_lists, F2Vector.bits
+def test_structured_emit_never_builds_the_human_text(capsys):
+    def human():
+        raise AssertionError("human text built in structured mode")
 
-    def counting_lists(self):
-        calls.append("to_lists")
-        return to_lists(self)
-
-    def counting_bits(self):
-        calls.append("bits")
-        return bits.fget(self)
-
-    monkeypatch.setattr(F2Matrix, "to_lists", counting_lists)
-    monkeypatch.setattr(F2Vector, "bits", property(counting_bits))
-    path = _write(tmp_path, WORDS + "surface big: a b c d e f a' b' c' d' e' f'\n")
-    assert main(["surface", "--format", "structured", path]) == 0
-    assert calls == []
-    assert len(capsys.readouterr().out.splitlines()) == 5
-    # the human text still prints the lists
-    assert main(["surface", _write(tmp_path, WORDS)]) == 0
-    assert capsys.readouterr().out == HUMAN and calls.count("to_lists") == 4
+    record = {"record": "surface", "gram": JSONText("[[0,1],[1,0]]")}
+    Emitter("structured").emit(record, human)
+    assert capsys.readouterr().out == '{"gram":[[0,1],[1,0]],"record":"surface"}\n'
 
 
 def test_json_text_fields_sit_at_their_sorted_key():
