@@ -40,7 +40,7 @@ if TYPE_CHECKING:  # each command imports the modules it runs
     from fractions import Fraction
 
     from .clifford import GaussianRational
-    from .quadform import Cyc8, Enhancement
+    from .quadform import Enhancement
     from .surface import GluingScheme
     from .tqft import TheoryClass
 
@@ -319,9 +319,9 @@ def _render_root(exponent: int) -> str:
     return f"ζ₈^{exponent} = {_SURD[exponent % 8]}"
 
 
-def _render_cyc8(value: Cyc8) -> str:
+def _render_cyc8(coefficients: Sequence[int]) -> str:
     parts = []
-    for power, coeff in enumerate(value.coefficients):
+    for power, coeff in enumerate(coefficients):
         if coeff == 0:
             continue
         unit = "" if power == 0 else ("ζ₈" if power == 1 else f"ζ₈^{power}")
@@ -499,24 +499,23 @@ def cmd_arf_brown(
     statements = _collect(paths)
     for surf, q, values in _attach_enhancements(statements, inline_specs):
         _check_cap("form dimension", q.dim, cap_dim, "--cap-dim")
-        root = arf_brown(q)
-        total = _gauss_sum_of_root(root, q.dim)
+        exponent = arf_brown(q)
+        total = _gauss_sum_of_root(exponent, q.dim)
         arf_value = arf(q) if q.is_even_valued() else None
         record = {
             "record": "arf-brown",
             "surface": surf.name,
             "values": {k: v % 4 for k, v in values.items()},
             "dim": q.dim,
-            "exponent": root.exponent,
-            "gauss_sum": list(total.coefficients),
+            "exponent": exponent,
+            "gauss_sum": list(total),
             "arf": arf_value,
         }
         emitter.emit(record, lambda: [
             f"arf-brown {surf.name} with q:"
             f" {' '.join(f'{k}={v % 4}' for k, v in values.items()) or '(empty)'}",
-            f"  exponent {root.exponent}: value {_render_root(root.exponent)}",
-            f"  gauss sum {_render_cyc8(total)}"
-            f" (coefficients {list(total.coefficients)})",
+            f"  exponent {exponent}: value {_render_root(exponent)}",
+            f"  gauss sum {_render_cyc8(total)} (coefficients {list(total)})",
             "  arf invariant: undefined (odd values present)"
             if arf_value is None
             else f"  arf invariant {arf_value}",
@@ -644,11 +643,11 @@ def cmd_tqft(
             {
                 "record": "partition",
                 "name": surf.name,
-                "exponent": value.root.exponent,
+                "exponent": value.exponent,
                 "euler_factor": _enc_gaussian(value.euler_factor),
             },
             lambda: [
-                f"surface {surf.name}: {_render_root(value.root.exponent)},"
+                f"surface {surf.name}: {_render_root(value.exponent)},"
                 f" euler factor {_render_gaussian(value.euler_factor)}"
             ],
         )
@@ -657,12 +656,12 @@ def cmd_tqft(
             {
                 "record": "total",
                 "surfaces": len(enhanced),
-                "exponent": total.root.exponent,
+                "exponent": total.exponent,
                 "euler_factor": _enc_gaussian(total.euler_factor),
             },
             lambda: [
                 f"total over {len(enhanced)} surface(s):"
-                f" {_render_root(total.root.exponent)},"
+                f" {_render_root(total.exponent)},"
                 f" euler factor {_render_gaussian(total.euler_factor)}"
             ],
         )

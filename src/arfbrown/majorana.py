@@ -102,9 +102,6 @@ class ChainSetup:
             for i, bit in enumerate(self._component.edge_bits)
         )
 
-    def reversed(self) -> ChainSetup:
-        return ChainSetup(self._component, -self._orientation)
-
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, ChainSetup)

@@ -10,9 +10,11 @@ zeta8^k defined by the Gauss sum
 where (zeta8 - zeta8^3)^2 = 2, so the right factor is a chosen square root
 of 2^dim.  The exponent k is additive over orthogonal sums, and the form
 splits into rank-1 and hyperbolic pieces whose exponents are read off from
-q; ``arf_brown`` finds k that way in O(dim^2) bitmask steps, and
-``gauss_sum`` returns S in closed form in the cyclotomic integers Z[zeta8].
-No class of H_1 is enumerated and no floating point is used.  Z/2-valued
+q; ``arf_brown`` finds k that way in O(dim^2) bitmask steps and returns
+it as an int in 0..7.  ``gauss_sum`` returns S in closed form as its
+coefficients (c0, c1, c2, c3) in the cyclotomic integers Z[zeta8], a tuple
+of ints; S always lies in Z[i], so c1 = c3 = 0.  No class of H_1 is
+enumerated and no floating point is used.  Z/2-valued
 enhancements (spin structures on orientable surfaces) are carried as
 even-valued Z/4 enhancements, value 2q.
 """
@@ -27,8 +29,6 @@ from .f2 import symplectic_basis
 from .surface import IntersectionForm
 
 __all__ = [
-    "Cyc8",
-    "RootOfUnity8",
     "Enhancement",
     "evaluate",
     "enumerate_enhancements",
@@ -41,151 +41,6 @@ __all__ = [
 
 class NotRootOfUnity(CertificateError):
     """A Gauss sum failed to match zeta8^k * sqrt(2)^dim for every k."""
-
-
-class Cyc8:
-    """An element of Z[zeta8] = Z[x]/(x^4 + 1).
-
-    Stored as four integer coefficients (c0, c1, c2, c3) representing
-    c0 + c1 zeta8 + c2 zeta8^2 + c3 zeta8^3.  Note zeta8^2 = i and
-    conjugation (zeta8 -> zeta8^-1 = -zeta8^3) is an automorphism.
-    """
-
-    __slots__ = ("_c",)
-
-    def __init__(self, c0: int = 0, c1: int = 0, c2: int = 0, c3: int = 0):
-        self._c = (int(c0), int(c1), int(c2), int(c3))
-
-    @classmethod
-    def zero(cls) -> Cyc8:
-        return cls()
-
-    @classmethod
-    def one(cls) -> Cyc8:
-        return cls(1)
-
-    @classmethod
-    def zeta(cls, k: int = 1) -> Cyc8:
-        """zeta8^k for any integer k."""
-        k %= 8
-        sign = 1 if k < 4 else -1
-        coeffs = [0, 0, 0, 0]
-        coeffs[k % 4] = sign
-        return cls(*coeffs)
-
-    @classmethod
-    def i_power(cls, k: int) -> Cyc8:
-        """i^k, with i = zeta8^2."""
-        return cls.zeta(2 * k)
-
-    @classmethod
-    def sqrt2(cls) -> Cyc8:
-        """zeta8 - zeta8^3, a square root of 2."""
-        return cls(0, 1, 0, -1)
-
-    @property
-    def coefficients(self) -> tuple[int, int, int, int]:
-        return self._c
-
-    def __add__(self, other: Cyc8) -> Cyc8:
-        if not isinstance(other, Cyc8):
-            return NotImplemented
-        return Cyc8(*(a + b for a, b in zip(self._c, other._c)))
-
-    def __sub__(self, other: Cyc8) -> Cyc8:
-        if not isinstance(other, Cyc8):
-            return NotImplemented
-        return Cyc8(*(a - b for a, b in zip(self._c, other._c)))
-
-    def __neg__(self) -> Cyc8:
-        return Cyc8(*(-a for a in self._c))
-
-    def __mul__(self, other: Cyc8 | int) -> Cyc8:
-        if isinstance(other, int):
-            return Cyc8(*(a * other for a in self._c))
-        if not isinstance(other, Cyc8):
-            return NotImplemented
-        out = [0, 0, 0, 0]
-        for i, a in enumerate(self._c):
-            if a == 0:
-                continue
-            for j, b in enumerate(other._c):
-                if b == 0:
-                    continue
-                k = i + j
-                if k < 4:
-                    out[k] += a * b
-                else:
-                    out[k - 4] -= a * b  # zeta8^4 = -1
-        return Cyc8(*out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> Cyc8:
-        if n < 0:
-            raise ValueError("negative powers are not in Z[zeta8]")
-        result = Cyc8.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
-
-    def conj(self) -> Cyc8:
-        """Complex conjugation, zeta8 -> zeta8^-1."""
-        c0, c1, c2, c3 = self._c
-        return Cyc8(c0, -c3, -c2, -c1)
-
-    def is_zero(self) -> bool:
-        return self._c == (0, 0, 0, 0)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Cyc8) and self._c == other._c
-
-    def __hash__(self) -> int:
-        return hash(self._c)
-
-    def __repr__(self) -> str:
-        return f"Cyc8{self._c}"
-
-
-class RootOfUnity8:
-    """The group of eighth roots of unity, as exponents mod 8."""
-
-    __slots__ = ("_exp",)
-
-    def __init__(self, exponent: int):
-        self._exp = int(exponent) % 8
-
-    @property
-    def exponent(self) -> int:
-        return self._exp
-
-    def __mul__(self, other: RootOfUnity8) -> RootOfUnity8:
-        if not isinstance(other, RootOfUnity8):
-            return NotImplemented
-        return RootOfUnity8(self._exp + other._exp)
-
-    def __pow__(self, n: int) -> RootOfUnity8:
-        return RootOfUnity8(self._exp * n)
-
-    def inverse(self) -> RootOfUnity8:
-        return RootOfUnity8(-self._exp)
-
-    def cyc8(self) -> Cyc8:
-        return Cyc8.zeta(self._exp)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, RootOfUnity8) and self._exp == other._exp
-
-    def __hash__(self) -> int:
-        return hash(("RootOfUnity8", self._exp))
-
-    def __repr__(self) -> str:
-        return f"RootOfUnity8({self._exp})"
 
 
 class Enhancement:
@@ -313,8 +168,8 @@ def arf(q: Enhancement) -> int:
     return total % 2
 
 
-def _brown_exponent(q: Enhancement) -> int:
-    """The k in Z/8 with Gauss sum zeta8^k * sqrt(2)^dim, by orthogonal splitting.
+def arf_brown(q: Enhancement) -> int:
+    """The Arf-Brown exponent: the unique k in 0..7 with S = zeta8^k sqrt(2)^dim.
 
     The Brown invariant adds over orthogonal sums, so pieces are split off
     the form one at a time.  A class x with I(x, x) = 1 spans a rank-1 piece
@@ -324,7 +179,8 @@ def _brown_exponent(q: Enhancement) -> int:
     not.  The remaining classes are then moved into the piece's orthogonal
     complement, with q carried along by the quadratic law.  A class is held
     as (bitmask, its row image under the Gram matrix, q), so each pairing is
-    one AND and a popcount: O(dim^2) big-integer steps in all.
+    one AND and a popcount: O(dim^2) big-integer steps in all.  A degenerate
+    form raises NotRootOfUnity.
     """
     form = q.form
     classes = [
@@ -372,26 +228,31 @@ def _brown_exponent(q: Enhancement) -> int:
     return k % 8
 
 
-def _gauss_sum_of_root(root: RootOfUnity8, dim: int) -> Cyc8:
-    """zeta8^k * (zeta8 - zeta8^3)^dim, the Gauss sum of a form with root k,
-    as zeta8^k * 2^(dim // 2) * (zeta8 - zeta8^3)^(dim mod 2)."""
-    total = root.cyc8() * (1 << (dim >> 1))
-    return total * Cyc8.sqrt2() if dim & 1 else total
+def _zeta(j: int, scale: int) -> tuple[int, int, int, int]:
+    """scale * zeta8^j as coefficients: zeta8^j is +-e_(j mod 4), with the
+    minus sign when j mod 8 >= 4, since zeta8^4 = -1."""
+    out = [0, 0, 0, 0]
+    out[j % 4] = scale if j % 8 < 4 else -scale
+    return tuple(out)
 
 
-def arf_brown(q: Enhancement) -> RootOfUnity8:
-    """The Arf-Brown invariant: the unique k with S = zeta8^k sqrt(2)^dim.
+def _gauss_sum_of_root(k: int, dim: int) -> tuple[int, int, int, int]:
+    """zeta8^k * (zeta8 - zeta8^3)^dim, the Gauss sum of a form with exponent
+    k, as the coefficients (c0, c1, c2, c3) of c0 + c1 zeta8 + c2 zeta8^2 +
+    c3 zeta8^3.  (zeta8 - zeta8^3)^2 = 2, so an even dim gives zeta8^k *
+    2^(dim // 2), and an odd one multiplies that by zeta8 - zeta8^3."""
+    scale = 1 << (dim >> 1)
+    if not dim & 1:
+        return _zeta(k, scale)
+    plus, minus = _zeta(k + 1, scale), _zeta(k + 3, scale)
+    return tuple(a - b for a, b in zip(plus, minus))
 
-    Found by orthogonal splitting, polynomial in the dimension.  A
-    degenerate form raises NotRootOfUnity.
-    """
-    return RootOfUnity8(_brown_exponent(q))
 
-
-def gauss_sum(q: Enhancement) -> Cyc8:
-    """S = sum of i^q(x) over all of H_1, exactly in Z[zeta8].
+def gauss_sum(q: Enhancement) -> tuple[int, int, int, int]:
+    """S = sum of i^q(x) over all of H_1, as its Z[zeta8] coefficients.
 
     The sum is zeta8^k * sqrt(2)^dim for the Arf-Brown exponent k, so it is
-    built from k in closed form; no class is enumerated.
+    built from k in closed form; no class is enumerated.  Every term is a
+    power of i, so S lies in Z[i]: c1 = c3 = 0.
     """
     return _gauss_sum_of_root(arf_brown(q), q.dim)

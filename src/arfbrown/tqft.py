@@ -18,7 +18,7 @@ from typing import Iterable, NamedTuple
 from .clifford import GaussianRational, Signature
 from .errors import DimensionMismatch
 from .pin1 import Circle, CircleClass, classify_circle
-from .quadform import Enhancement, RootOfUnity8, arf, arf_brown
+from .quadform import Enhancement, arf, arf_brown
 from .surface import (
     GluingScheme,
     intersection_form,
@@ -93,16 +93,19 @@ class SuperLineValue(NamedTuple):
 
 
 class PartitionValue(NamedTuple):
-    """The value on closed surfaces: an eighth root of unity times the
-    Euler weight raised to the total Euler characteristic."""
+    """The value on closed surfaces: zeta8^exponent, with exponent an int
+    in 0..7, times the Euler weight raised to the total Euler
+    characteristic."""
 
-    root: RootOfUnity8
+    exponent: int
     euler_factor: GaussianRational
 
     def __mul__(self, other: PartitionValue) -> PartitionValue:
-        """The value on the disjoint union: roots and Euler factors multiply."""
+        """The value on the disjoint union: exponents add mod 8 and Euler
+        factors multiply."""
         return PartitionValue(
-            self.root * other.root, self.euler_factor * other.euler_factor
+            (self.exponent + other.exponent) % 8,
+            self.euler_factor * other.euler_factor,
         )
 
 
@@ -133,10 +136,12 @@ def partition_function(
                 "enhancement is defined on a different intersection form"
                 f" than the scheme {scheme.text()!r} carries"
             )
-        total_exponent += arf_brown(q).exponent
+        total_exponent += arf_brown(q)
         total_chi += 2 - expected.dim  # the form's dimension is b1 = 2 - chi
-    root = RootOfUnity8(t.ab_power * total_exponent)
-    return PartitionValue(root=root, euler_factor=t.euler_weight**total_chi)
+    return PartitionValue(
+        exponent=t.ab_power * total_exponent % 8,
+        euler_factor=t.euler_weight**total_chi,
+    )
 
 
 def stack(t1: TheoryClass, t2: TheoryClass) -> TheoryClass:
@@ -200,7 +205,7 @@ def _check_torus_value() -> CheckResult:
     form = intersection_form(orientable_scheme(1))
     a, b = form.basis_labels
     q = Enhancement(form, {a: 2, b: 2})
-    exponent = arf_brown(q).exponent
+    exponent = arf_brown(q)
     return CheckResult(
         "torus framing value",
         exponent == 4,
@@ -215,7 +220,7 @@ def _check_spin_exponents(samples: int = 50) -> CheckResult:
         form = intersection_form(orientable_scheme(rng.randint(1, 3)))
         values = {label: rng.choice((0, 2)) for label in form.basis_labels}
         q = Enhancement(form, values)
-        exponent = arf_brown(q).exponent
+        exponent = arf_brown(q)
         if exponent not in (0, 4) or exponent != 4 * arf(q):
             return CheckResult(
                 "spin exponents",

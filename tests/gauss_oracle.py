@@ -1,10 +1,12 @@
 """The enumerating Gauss sum: the oracle for the orthogonal splitting.
 
 It tabulates q on all 2^dim classes of H_1, so it is exponential in the
-form's dimension and lives here, not in the package.
+form's dimension and lives here, not in the package.  Sums are Z[zeta8]
+coefficient 4-tuples; ``zeta_sqrt2_power`` builds zeta8^k * sqrt(2)^dim one
+factor at a time, the reference for the package's closed form.
 """
 
-from arfbrown.quadform import Cyc8, Enhancement, NotRootOfUnity, RootOfUnity8
+from arfbrown.quadform import Enhancement, NotRootOfUnity
 from arfbrown.surface import IntersectionForm
 
 
@@ -22,26 +24,45 @@ def q_table(q: Enhancement) -> list[int]:
     return table
 
 
-def enumerated_gauss_sum(q: Enhancement) -> Cyc8:
-    """S = sum of i^q(x) over all of H_1, class by class."""
-    counts = [0, 0, 0, 0]
+def enumerated_gauss_sum(q: Enhancement) -> tuple[int, int, int, int]:
+    """S = sum of i^q(x) over all of H_1, class by class, as Z[zeta8]
+    coefficients.  With n_r classes of value r, S = (n0 - n2) + (n1 - n3) i,
+    and i = zeta8^2."""
+    n = [0, 0, 0, 0]
     for val in q_table(q):
-        counts[val] += 1
-    total = Cyc8.zero()
-    for residue, count in enumerate(counts):
-        if count:
-            total = total + Cyc8.i_power(residue) * count
-    return total
+        n[val] += 1
+    return (n[0] - n[2], 0, n[1] - n[3], 0)
 
 
-def root_of_gauss_sum(s: Cyc8, dim: int) -> RootOfUnity8:
-    """The unique k with s = zeta8^k sqrt(2)^dim."""
-    target = Cyc8.sqrt2() ** dim
+def cyc_mul(a: tuple, b: tuple) -> tuple[int, int, int, int]:
+    """The product of two Z[zeta8] coefficient 4-tuples modulo x^4 + 1."""
+    out = [0, 0, 0, 0]
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            if i + j < 4:
+                out[i + j] += x * y
+            else:
+                out[i + j - 4] -= x * y  # zeta8^4 = -1
+    return tuple(out)
+
+
+def zeta_sqrt2_power(k: int, dim: int) -> tuple[int, int, int, int]:
+    """zeta8^k * (zeta8 - zeta8^3)^dim, one factor at a time."""
+    out = (1, 0, 0, 0)
+    for _ in range(k % 8):
+        out = cyc_mul(out, (0, 1, 0, 0))
+    for _ in range(dim):
+        out = cyc_mul(out, (0, 1, 0, -1))
+    return out
+
+
+def root_of_gauss_sum(s: tuple, dim: int) -> int:
+    """The unique k in 0..7 with s = zeta8^k sqrt(2)^dim."""
     for k in range(8):
-        if Cyc8.zeta(k) * target == s:
-            return RootOfUnity8(k)
+        if zeta_sqrt2_power(k, dim) == tuple(s):
+            return k
     raise NotRootOfUnity(
-        f"Gauss sum {s!r} is not zeta8^k * sqrt(2)^{dim} for any k"
+        f"Gauss sum {tuple(s)} is not zeta8^k * sqrt(2)^{dim} for any k"
     )
 
 

@@ -141,7 +141,7 @@ def test_arf_brown_failed_certificate_is_exit_5(tmp_path, capsys, monkeypatch, f
     def fail(q):
         raise quadform.NotRootOfUnity("the Gauss sum missed every zeta8^k")
 
-    monkeypatch.setattr(quadform, "_brown_exponent", fail)
+    monkeypatch.setattr(quadform, "arf_brown", fail)
     path = _write(tmp_path, "k.surf", "surface K: a a b b\nenhance K: a=1 b=3\n")
     assert main(["arf-brown", "--format", fmt, path]) == 5
     err = capsys.readouterr().err

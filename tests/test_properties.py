@@ -66,15 +66,21 @@ def test_enhancement_obeys_the_quadratic_law(q, data):
 @given(nondegenerate_enhancements(max_dim=12))
 def test_split_equals_enumeration_on_generated_forms(q):
     s = enumerated_gauss_sum(q)
-    assert arf_brown(q) == root_of_gauss_sum(s, q.dim)
-    assert gauss_sum(q) == s
+    k = arf_brown(q)
+    assert k == root_of_gauss_sum(s, q.dim)
+    # rank-1 pieces are worth +-1 and hyperbolic ones 0 or 4
+    assert k % 2 == q.dim % 2
+    total = gauss_sum(q)
+    assert total == s
+    # every term i^q(x) lies in Z[i]
+    assert total[1] == total[3] == 0
 
 
 @_SETTINGS
 @given(st.lists(nondegenerate_enhancements(max_dim=5), min_size=1, max_size=4))
 def test_brown_exponent_adds_over_block_sums(pieces):
-    joint = arf_brown(block_sum(pieces)).exponent
-    assert joint == sum(arf_brown(q).exponent for q in pieces) % 8
+    joint = arf_brown(block_sum(pieces))
+    assert joint == sum(arf_brown(q) for q in pieces) % 8
 
 
 @st.composite

@@ -17,7 +17,6 @@ from arfbrown.majorana import (
     interval_bimodule_check,
     reference_module,
 )
-from arfbrown.quadform import RootOfUnity8
 from arfbrown.surface import GluingScheme, IntersectionForm, SurfaceInfo, analyze
 from arfbrown.tqft import (
     CheckResult,
@@ -81,7 +80,7 @@ VALUES = {
     SuperalgebraValue: lambda: {"signature": Signature.cl(2)},
     SuperLineValue: lambda: {"parity": "even"},
     PartitionValue: lambda: {
-        "root": RootOfUnity8(3), "euler_factor": GaussianRational(2),
+        "exponent": 3, "euler_factor": GaussianRational(2),
     },
     CheckResult: lambda: {"name": "x", "passed": True, "detail": "ok"},
     ConsistencyReport: lambda: {"checks": (CheckResult("x", True, "ok"),)},
