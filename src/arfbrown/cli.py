@@ -427,9 +427,10 @@ def cmd_surface(paths: Sequence[str], emitter: Emitter) -> int:
 
 
 def _attach_enhancements(
-    statements: list, inline_specs: Sequence[str]
+    statements: list, inline_specs: Sequence[str] | None
 ) -> list[tuple[SurfaceStmt, Enhancement, dict[str, int]]]:
-    """Pair each enhancement with its surface and build it on the form."""
+    """Pair each enhancement with its surface and build it on the form; a
+    command without --enhance (inline_specs None) may be given no surface."""
     from . import quadform, surface
 
     surfaces: dict[str, SurfaceStmt] = {}
@@ -452,7 +453,7 @@ def _attach_enhancements(
                     stmt.line,
                 )
             pairs.append((surfaces[stmt.name], stmt))
-    for spec in inline_specs:
+    for spec in inline_specs or ():
         if len(surfaces) != 1:
             raise ParseError(
                 "--enhance needs exactly one surface in the input files",
@@ -465,9 +466,10 @@ def _attach_enhancements(
         except _TokenError as exc:
             raise exc.at(spec, "<enhance>", 1) from exc
         pairs.append((surf, EnhanceStmt(surf.name, values, "<enhance>", 1)))
-    if not pairs:
+    if not pairs and (surfaces or inline_specs is not None):
         raise PreconditionError(
-            "no enhancements given; add enhance lines or --enhance"
+            "no enhancements given; add enhance lines"
+            + ("" if inline_specs is None else " or --enhance")
         )
     out = []
     for surf, enh in pairs:
@@ -494,13 +496,12 @@ def cmd_arf_brown(
     cap_dim: int,
     emitter: Emitter,
 ) -> int:
-    from .quadform import _gauss_sum_of_root, arf, arf_brown
+    from .quadform import arf, arf_brown, gauss_sum_of_root
 
-    statements = _collect(paths)
-    for surf, q, values in _attach_enhancements(statements, inline_specs):
+    for surf, q, values in _attach_enhancements(_collect(paths), inline_specs):
         _check_cap("form dimension", q.dim, cap_dim, "--cap-dim")
         exponent = arf_brown(q)
-        total = _gauss_sum_of_root(exponent, q.dim)
+        total = gauss_sum_of_root(exponent, q.dim)
         arf_value = arf(q) if q.is_even_valued() else None
         record = {
             "record": "arf-brown",
@@ -532,22 +533,15 @@ def cmd_majorana(paths: Sequence[str], cap_n: int, emitter: Emitter) -> int:
         if stmt.kind == "circle":
             setup = majorana.ChainSetup.circle(stmt.bits, stmt.orientation)
             cls = pin1.classify_circle(setup.component)
-            circle_class = cls.value
-            # the ground line is the generator theory's value on the circle
-            theory = tqft.TheoryClass(1)
-            want_dim, want_parity = 1, tqft.evaluate_circle(theory, cls).parity
         else:
             setup = majorana.ChainSetup.interval(stmt.bits, stmt.orientation)
-            circle_class = None
-            want_dim, want_parity = 2, "mixed"
+            cls = None
+        circle_class = None if cls is None else cls.value
+        want_dim, want_parity = tqft.expected_ground(cls)
         _check_cap("vertex count", setup.vertex_count, cap_n, "--cap-n")
         report = majorana.ground_states(setup)
-        verdict = (
-            "ok"
-            if (report.ground_dimension, report.ground_parity)
-            == (want_dim, want_parity)
-            else "mismatch"
-        )
+        got = report.ground_dimension, report.ground_parity
+        verdict = "ok" if got == (want_dim, want_parity) else "mismatch"
         record = {
             "record": "majorana",
             "name": stmt.name,
@@ -589,6 +583,8 @@ def cmd_tqft(
     from . import pin1, tqft
 
     theory = parse_theory(theory_text)
+    statements = _collect(paths)
+    enhanced = _attach_enhancements(statements, None)
     record = {
         "record": "theory",
         "ab_power": theory.ab_power,
@@ -600,11 +596,6 @@ def cmd_tqft(
         f" euler weight {_render_gaussian(theory.euler_weight)}"
         f" ({'stable' if record['stable'] else 'unstable'})"
     ])
-
-    statements = _collect(paths)
-    enhanced = []
-    if any(isinstance(s, (EnhanceStmt, SurfaceStmt)) for s in statements):
-        enhanced = _attach_enhancements(statements, [])
     total = None
     for stmt in statements:
         if isinstance(stmt, PointStmt):
@@ -702,6 +693,7 @@ def _positive_int(text: str) -> int:
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """Each subcommand takes --format and the options its handler `run` reads."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--format",
@@ -709,15 +701,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="human",
         help="human text or JSON lines with exact numbers",
     )
-    common.add_argument(
-        "--cap-n",
-        type=_positive_int,
-        default=10,
-        metavar="N",
-        help="largest vertex count for chain spectra (default %(default)s)",
-    )
-    common.add_argument(
-        "--cap-dim",
+    cap_dim = dict(
         type=_positive_int,
         default=20,
         metavar="D",
@@ -732,12 +716,14 @@ def build_parser() -> argparse.ArgumentParser:
         "surface", parents=[common], help="classify gluing words"
     )
     p.add_argument("paths", nargs="+", metavar="FILE")
+    p.set_defaults(run=lambda a, e: cmd_surface(a.paths, e))
     p = sub.add_parser(
         "arf-brown",
         parents=[common],
         help="Gauss sums and invariants of enhanced surfaces",
     )
     p.add_argument("paths", nargs="+", metavar="FILE")
+    p.add_argument("--cap-dim", **cap_dim)
     p.add_argument(
         "--enhance",
         action="append",
@@ -745,18 +731,32 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="SPEC",
         help="inline enhancement like 'a=1 b=3' (file must hold one surface)",
     )
+    p.set_defaults(
+        run=lambda a, e: cmd_arf_brown(a.paths, a.enhance, a.cap_dim, e)
+    )
     p = sub.add_parser(
         "majorana", parents=[common], help="chain spectra on 1-manifolds"
     )
     p.add_argument("paths", nargs="+", metavar="FILE")
+    p.add_argument(
+        "--cap-n",
+        type=_positive_int,
+        default=10,
+        metavar="N",
+        help="largest vertex count for chain spectra (default %(default)s)",
+    )
+    p.set_defaults(run=lambda a, e: cmd_majorana(a.paths, a.cap_n, e))
     p = sub.add_parser(
         "tqft", parents=[common], help="evaluate a theory on closed objects"
     )
     p.add_argument("theory", help="theory spec like 'ab=1 euler=2'")
     p.add_argument("paths", nargs="*", metavar="FILE")
-    sub.add_parser(
+    p.add_argument("--cap-dim", **cap_dim)
+    p.set_defaults(run=lambda a, e: cmd_tqft(a.theory, a.paths, a.cap_dim, e))
+    p = sub.add_parser(
         "selftest", parents=[common], help="run the cross-module checks"
     )
+    p.set_defaults(run=lambda a, e: cmd_selftest(e))
     return parser
 
 
@@ -765,15 +765,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     emitter = Emitter(args.format)
     try:
-        if args.command == "surface":
-            return cmd_surface(args.paths, emitter)
-        if args.command == "arf-brown":
-            return cmd_arf_brown(args.paths, args.enhance, args.cap_dim, emitter)
-        if args.command == "majorana":
-            return cmd_majorana(args.paths, args.cap_n, emitter)
-        if args.command == "tqft":
-            return cmd_tqft(args.theory, args.paths, args.cap_dim, emitter)
-        return cmd_selftest(emitter)
+        return args.run(args, emitter)
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,21 +1,22 @@
 """Clifford signatures, the supermodule (C^{1|1})^{(x) n} and Gaussian rationals.
 
-A point's value is a `Signature`: generator labels with squares in
-{+1, -1}, Cl(p, q) for `Signature.cl(p, q)`.  The Majorana chain lives on
-(C^{1|1})^{(x) n}, where generators 2v and 2v+1 are factor v's +1 and -1
-generator.  `evaluate_on_empty` applies a word of them to the empty subset
-and holds the sign rule, written once; every result of the chain and the
-irreducible supermodule of a signature with n positive and n negative
-generators (`irreducible_supermodule`, odd `SuperMatrix` action matrices)
-are built from it.  Values are exact `GaussianRational`s.  Nothing here
-needs numpy.
+A point's value is a `Signature`, Cl(p, q) held as its two counts: p
+generators e1..ep of square +1, then q generators f1..fq of square -1.
+The Majorana chain lives on (C^{1|1})^{(x) n}, where generators 2v and
+2v+1 are factor v's +1 and -1 generator.  `evaluate_on_empty` applies a
+word of them to the empty subset and holds the sign rule, written once;
+every result of the chain and the irreducible supermodule of a signature
+with n positive and n negative generators (`irreducible_supermodule`, odd
+`SuperMatrix` action matrices) are built from it.  Values are exact
+`GaussianRational`s.  Nothing here needs numpy.
 """
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Mapping, Sequence
+from typing import Sequence
 
 __all__ = [
     "GaussianRational",
@@ -42,6 +43,8 @@ class GaussianRational:
     __slots__ = ("_a", "_b", "_d")
 
     def __init__(self, re: Fraction | int = 0, im: Fraction | int = 0):
+        if not (isinstance(re, (int, Fraction)) and isinstance(im, (int, Fraction))):
+            raise TypeError(f"parts must be int or Fraction, got {re!r}, {im!r}")
         re, im = Fraction(re), Fraction(im)
         d = lcm(re.denominator, im.denominator)  # reduced parts give a reduced triple
         self._a, self._b, self._d = int(re * d), int(im * d), d
@@ -160,62 +163,47 @@ def _reduced(a: int, b: int, d: int) -> GaussianRational:
 
 
 class Signature:
-    """An ordered list of generator labels with squares in {+1, -1}."""
+    """Cl(p, q): generators e1..ep of square +1, then f1..fq of square -1."""
 
-    __slots__ = ("_labels", "_signs")
+    __slots__ = ("positive", "negative")
 
-    def __init__(self, labels: Sequence[str], signs: Mapping[str, int]):
-        labels = tuple(labels)
-        if len(set(labels)) != len(labels):
-            raise ValueError("generator labels must be distinct")
-        if set(signs) != set(labels):
-            raise ValueError("signs must be given for exactly the labels")
-        for label in labels:
-            if signs[label] not in (1, -1):
-                raise ValueError(f"sign of {label!r} must be +1 or -1")
-        self._labels = labels
-        self._signs = {label: signs[label] for label in labels}
+    def __init__(self, positive: int, negative: int = 0):
+        positive, negative = operator.index(positive), operator.index(negative)
+        if positive < 0 or negative < 0:
+            raise ValueError(f"Cl({positive}, {negative}) has a negative count")
+        self.positive, self.negative = positive, negative
 
     @classmethod
     def cl(cls, positive: int, negative: int = 0) -> Signature:
-        """The standard signature with the given counts of +1 and -1 squares."""
-        labels = [f"e{k + 1}" for k in range(positive)]
-        labels += [f"f{k + 1}" for k in range(negative)]
-        signs = {lab: 1 for lab in labels[:positive]}
-        signs.update({lab: -1 for lab in labels[positive:]})
-        return cls(labels, signs)
+        """Signature(positive, negative), spelled as the algebra Cl(p, q)."""
+        return cls(positive, negative)
 
     @property
     def labels(self) -> tuple[str, ...]:
-        return self._labels
+        return self.positive_labels() + self.negative_labels()
 
     def sign(self, label: str) -> int:
-        return self._signs[label]
+        return 1 if self.labels.index(label) < self.positive else -1
 
     def positive_labels(self) -> tuple[str, ...]:
-        return tuple(l for l in self._labels if self._signs[l] == 1)
+        return tuple(f"e{k + 1}" for k in range(self.positive))
 
     def negative_labels(self) -> tuple[str, ...]:
-        return tuple(l for l in self._labels if self._signs[l] == -1)
+        return tuple(f"f{k + 1}" for k in range(self.negative))
 
     def __len__(self) -> int:
-        return len(self._labels)
+        return self.positive + self.negative
 
     def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, Signature)
-            and self._labels == other._labels
-            and self._signs == other._signs
+        return isinstance(other, Signature) and (
+            (self.positive, self.negative) == (other.positive, other.negative)
         )
 
     def __hash__(self) -> int:
-        return hash((self._labels, tuple(self._signs[l] for l in self._labels)))
+        return hash((self.positive, self.negative))
 
     def __repr__(self) -> str:
-        body = ", ".join(
-            f"{l}{'+' if self._signs[l] == 1 else '-'}" for l in self._labels
-        )
-        return f"Signature({body})"
+        return f"Signature({self.positive}, {self.negative})"
 
 
 def evaluate_on_empty(word: Sequence[int]) -> tuple[int, int]:
@@ -342,27 +330,22 @@ def irreducible_supermodule(sig: Signature) -> list[SuperMatrix]:
     mask).  Returns one matrix per generator, in signature order; all
     Clifford relations hold exactly.
     """
-    positives = sig.positive_labels()
-    negatives = sig.negative_labels()
-    if len(positives) != len(negatives):
+    if sig.positive != sig.negative:
         raise UnpairedSignature(
-            f"{len(positives)} positive vs {len(negatives)} negative generators"
+            f"{sig.positive} positive vs {sig.negative} negative generators"
         )
-    n = len(positives)
-    if n == 0:
-        return []
+    n = sig.positive
     order = sorted(range(1 << n), key=lambda m: (m.bit_count() & 1, m))
     position = {m: i for i, m in enumerate(order)}
     # basis vector m is the +1 generators of m, in increasing order, on the
     # empty subset
     columns = [[2 * v for v in range(n) if m >> v & 1] for m in order]
-    half = 1 << (n - 1)
+    half = len(order) // 2
     # Gaussian rationals are immutable, so every entry is one of three
     zero, unit = GaussianRational(), {1: GaussianRational(1), -1: GaussianRational(-1)}
     out = []
-    for label in sig.labels:
-        negative = sig.sign(label) == -1
-        g = 2 * (negatives if negative else positives).index(label) + negative
+    # the signature lists e1..en, then f1..fn: generators 2k, then 2k+1
+    for g in [*range(0, 2 * n, 2), *range(1, 2 * n, 2)]:
         rows = [[zero] * len(order) for _ in order]
         for j, column in enumerate(columns):
             sign, mask = evaluate_on_empty([g, *column])

@@ -10,6 +10,7 @@ Z/2, generated by the nonbounding circle.
 
 from __future__ import annotations
 
+import operator
 from enum import Enum
 from typing import Iterable, Sequence
 
@@ -40,7 +41,7 @@ class _Component:
     __slots__ = ("_bits",)
 
     def __init__(self, edge_bits: Iterable[int]):
-        bits = tuple(int(b) for b in edge_bits)
+        bits = tuple(map(operator.index, edge_bits))
         if not bits:
             raise ValueError("a component needs at least one edge")
         if any(b not in (0, 1) for b in bits):

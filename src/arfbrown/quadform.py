@@ -21,6 +21,7 @@ even-valued Z/4 enhancements, value 2q.
 
 from __future__ import annotations
 
+import operator
 from itertools import product
 from typing import Mapping
 
@@ -34,6 +35,7 @@ __all__ = [
     "enumerate_enhancements",
     "arf",
     "gauss_sum",
+    "gauss_sum_of_root",
     "arf_brown",
     "NotRootOfUnity",
 ]
@@ -63,7 +65,7 @@ class Enhancement:
             )
         normalized: dict[str, int] = {}
         for i, label in enumerate(form.basis_labels):
-            v = int(values[label]) % 4
+            v = operator.index(values[label]) % 4
             self_pairing = form.rows[i] >> i & 1
             if v % 2 != self_pairing:
                 raise ParityViolation(
@@ -236,7 +238,7 @@ def _zeta(j: int, scale: int) -> tuple[int, int, int, int]:
     return tuple(out)
 
 
-def _gauss_sum_of_root(k: int, dim: int) -> tuple[int, int, int, int]:
+def gauss_sum_of_root(k: int, dim: int) -> tuple[int, int, int, int]:
     """zeta8^k * (zeta8 - zeta8^3)^dim, the Gauss sum of a form with exponent
     k, as the coefficients (c0, c1, c2, c3) of c0 + c1 zeta8 + c2 zeta8^2 +
     c3 zeta8^3.  (zeta8 - zeta8^3)^2 = 2, so an even dim gives zeta8^k *
@@ -255,4 +257,4 @@ def gauss_sum(q: Enhancement) -> tuple[int, int, int, int]:
     built from k in closed form; no class is enumerated.  Every term is a
     power of i, so S lies in Z[i]: c1 = c3 = 0.
     """
-    return _gauss_sum_of_root(arf_brown(q), q.dim)
+    return gauss_sum_of_root(arf_brown(q), q.dim)

@@ -13,6 +13,7 @@ word and ``surface_form`` from one ``analyze``.
 
 from __future__ import annotations
 
+import operator
 from itertools import count
 from typing import Iterable, NamedTuple
 
@@ -50,7 +51,7 @@ class GluingScheme:
     __slots__ = ("_word", "_form")
 
     def __init__(self, word: Iterable[tuple[str, int]]):
-        w = tuple((str(letter), int(exp)) for letter, exp in word)
+        w = tuple((str(letter), operator.index(exp)) for letter, exp in word)
         counts: dict[str, int] = {}
         for letter, exp in w:
             if exp not in (1, -1):

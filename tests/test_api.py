@@ -69,6 +69,21 @@ def test_no_runtime_module_imports_the_oracle_eliminations():
     assert offenders == []
 
 
+def test_no_runtime_module_imports_a_private_name_of_another():
+    package = Path(arfbrown.__file__).parent
+    modules = {path.stem for path in package.glob("*.py")}  # _dense is one
+    offenders = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                offenders += [
+                    (path.name, alias.name)
+                    for alias in node.names
+                    if alias.name.startswith("_") and alias.name not in modules
+                ]
+    assert offenders == []
+
+
 # every command runs in-process on one file, then numpy must still be absent
 _CLI_WITHOUT_NUMPY = """
 import contextlib, io, os, sys, tempfile

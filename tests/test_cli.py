@@ -124,6 +124,20 @@ def test_arf_brown_needs_an_enhancement(tmp_path, capsys):
     assert main(["arf-brown", path]) == 3
 
 
+@pytest.mark.parametrize(
+    "argv, hint",
+    [
+        (["arf-brown"], "add enhance lines or --enhance"),
+        (["tqft", "ab=1"], "add enhance lines"),
+    ],
+    ids=["arf-brown", "tqft"],
+)
+def test_missing_enhancement_names_only_its_options(tmp_path, capsys, argv, hint):
+    path = _write(tmp_path, "t.surf", "surface T: a b a' b'\n")
+    assert main([*argv, path]) == 3
+    assert capsys.readouterr().err == f"error: no enhancements given; {hint}\n"
+
+
 def test_inline_enhance_needs_single_surface(tmp_path, capsys):
     path = _write(
         tmp_path, "two.surf", "surface T: a b a' b'\nsurface P: a a\n"
@@ -331,6 +345,21 @@ def test_tqft_rejects_intervals(tmp_path, capsys):
     assert main(["tqft", "ab=1", path]) == 3
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "surface T: a b a\n",
+        "surface T: a b a' b'\nenhance U: a=0 b=0\n",
+        "point p\nenhance",
+    ],
+)
+@pytest.mark.parametrize("fmt", ["human", "structured"])
+def test_tqft_checks_all_input_before_its_first_record(tmp_path, capsys, text, fmt):
+    path = _write(tmp_path, "bad.surf", text)
+    assert main(["tqft", "--format", fmt, "ab=1", path]) == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_tqft_surface_without_enhancement_is_exit_3(tmp_path, capsys):
     path = _write(tmp_path, "t.surf", "surface T: a b a' b'\n")
     assert main(["tqft", "ab=1", path]) == 3
@@ -507,6 +536,28 @@ def test_second_main_call_builds_no_parser(tmp_path, capsys, monkeypatch):
     assert built == []
     build_parser.__wrapped__()
     assert len(built) == 7
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [
+        ("surface", "--cap-n"),
+        ("selftest", "--cap-n"),
+        ("arf-brown", "--cap-n"),
+        ("tqft", "--cap-n"),
+        ("surface", "--cap-dim"),
+        ("majorana", "--cap-dim"),
+        ("selftest", "--cap-dim"),
+    ],
+)
+def test_commands_take_no_cap_they_do_not_read(tmp_path, capsys, command, flag):
+    path = _write(tmp_path, "t.surf", "surface T: a b a' b'\nenhance T: a=0 b=0\n")
+    theory = ["ab=1"] if command == "tqft" else []
+    files = [] if command == "selftest" else [path]
+    with pytest.raises(SystemExit) as done:
+        main([command, flag, "3", *theory, *files])
+    assert done.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -53,6 +53,13 @@ def test_gaussian_coerce_and_equality():
     assert GaussianRational(0, 1) != 0
 
 
+def test_gaussian_parts_are_exact():
+    with pytest.raises(TypeError):
+        GaussianRational(0.1)
+    with pytest.raises(TypeError):
+        GaussianRational(1, 0.5)
+
+
 def test_gaussian_inverse_of_zero_fails():
     with pytest.raises(ZeroDivisionError):
         GaussianRational(0).inverse()
@@ -67,6 +74,15 @@ def test_cl_signature_layout():
     assert sig.sign("e2") == 1 and sig.sign("f1") == -1
     assert sig.positive_labels() == ("e1", "e2")
     assert sig.negative_labels() == ("f1",)
+    assert [sig.sign(l) for l in sig.labels] == [1, 1, -1]
+    assert (sig.positive, sig.negative, len(sig)) == (2, 1, 3)
+    assert sig == Signature.cl(2, 1) and hash(sig) == hash(Signature.cl(2, 1))
+    assert sig != Signature.cl(1, 2) and sig != Signature.cl(3)
+    with pytest.raises(ValueError):
+        sig.sign("f2")
+    for counts in [(-1,), (1, -2)]:
+        with pytest.raises(ValueError):
+            Signature.cl(*counts)
 
 
 # ---------------------------------------------------------------- matrices

@@ -9,7 +9,9 @@ options:
   -h, --help            show this help message and exit
   --format {human,structured}
                         human text or JSON lines with exact numbers
-  --cap-n N             largest vertex count for chain spectra (default 10)
+"""
+
+_CAP_DIM = """\
   --cap-dim D           largest form dimension for Arf-Brown invariants
                         (default 20)
 """
@@ -32,9 +34,7 @@ options:
   -h, --help            show this help message and exit
 """,
     ("surface",): """\
-usage: arfbrown surface [-h] [--format {human,structured}] [--cap-n N]
-                        [--cap-dim D]
-                        FILE [FILE ...]
+usage: arfbrown surface [-h] [--format {human,structured}] FILE [FILE ...]
 
 positional arguments:
   FILE
@@ -42,8 +42,8 @@ positional arguments:
 """
     + _OPTIONS,
     ("arf-brown",): """\
-usage: arfbrown arf-brown [-h] [--format {human,structured}] [--cap-n N]
-                          [--cap-dim D] [--enhance SPEC]
+usage: arfbrown arf-brown [-h] [--format {human,structured}] [--cap-dim D]
+                          [--enhance SPEC]
                           FILE [FILE ...]
 
 positional arguments:
@@ -51,23 +51,25 @@ positional arguments:
 
 """
     + _OPTIONS
+    + _CAP_DIM
     + """\
   --enhance SPEC        inline enhancement like 'a=1 b=3' (file must hold one
                         surface)
 """,
     ("majorana",): """\
 usage: arfbrown majorana [-h] [--format {human,structured}] [--cap-n N]
-                         [--cap-dim D]
                          FILE [FILE ...]
 
 positional arguments:
   FILE
 
 """
-    + _OPTIONS,
+    + _OPTIONS
+    + """\
+  --cap-n N             largest vertex count for chain spectra (default 10)
+""",
     ("tqft",): """\
-usage: arfbrown tqft [-h] [--format {human,structured}] [--cap-n N]
-                     [--cap-dim D]
+usage: arfbrown tqft [-h] [--format {human,structured}] [--cap-dim D]
                      theory [FILE ...]
 
 positional arguments:
@@ -75,10 +77,10 @@ positional arguments:
   FILE
 
 """
-    + _OPTIONS,
+    + _OPTIONS
+    + _CAP_DIM,
     ("selftest",): """\
-usage: arfbrown selftest [-h] [--format {human,structured}] [--cap-n N]
-                         [--cap-dim D]
+usage: arfbrown selftest [-h] [--format {human,structured}]
 
 """
     + _OPTIONS,

@@ -2,6 +2,8 @@
 
 import random
 
+import numpy as np
+
 import pytest
 
 from arfbrown.majorana import ChainSetup
@@ -25,6 +27,12 @@ def test_component_validation():
         Circle((0, 2))
     with pytest.raises(ValueError):
         Interval(())
+
+
+def test_edge_bits_are_integers_not_truncated_floats():
+    with pytest.raises(TypeError):
+        Circle([0.7, 1.2])
+    assert Circle([np.int64(1), True, 0]).edge_bits == (1, 1, 0)
 
 
 def test_vertex_counts():

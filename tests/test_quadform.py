@@ -11,12 +11,12 @@ from arfbrown.quadform import (
     NotRootOfUnity,
     NotSpin,
     ParityViolation,
-    _gauss_sum_of_root,
     arf,
     arf_brown,
     enumerate_enhancements,
     evaluate,
     gauss_sum,
+    gauss_sum_of_root,
 )
 from arfbrown.surface import (
     GluingScheme,
@@ -46,7 +46,7 @@ def _form(text: str):
 def test_closed_form_gauss_sum_matches_the_power_of_sqrt2():
     for k in range(8):
         for dim in range(41):
-            assert _gauss_sum_of_root(k, dim) == zeta_sqrt2_power(k, dim)
+            assert gauss_sum_of_root(k, dim) == zeta_sqrt2_power(k, dim)
 
 
 # ------------------------------------------------------------ enhancements
@@ -73,6 +73,11 @@ def test_values_normalized_mod_4():
     form = _form("a b a' b'")
     q = Enhancement(form, {"a": 6, "b": -2})
     assert q.values == {"a": 2, "b": 2}
+
+
+def test_values_are_integers_not_truncated_floats():
+    with pytest.raises(TypeError):
+        Enhancement(_form("a a"), {"a": 3.9})
 
 
 def _pairing(rows, x: int, y: int) -> int:

@@ -134,6 +134,12 @@ def test_malformed_words():
         GluingScheme([("a", 2), ("a", 1)])
 
 
+def test_exponents_are_integers_not_truncated_floats():
+    with pytest.raises(TypeError):
+        GluingScheme([("a", 1.5), ("a", 1.9)])
+    assert GluingScheme([("a", True), ("a", -1)]).text() == "a a'"
+
+
 def test_cyclic_rotation_invariance():
     rng = random.Random(3)
     for _ in range(40):

@@ -19,6 +19,7 @@ from arfbrown.tqft import (
     consistency_report,
     evaluate_circle,
     evaluate_point,
+    expected_ground,
     is_stable,
     partition_function,
     stack,
@@ -36,6 +37,17 @@ def test_theory_normalization():
     assert TheoryClass(3).euler_weight == GaussianRational(1)
     with pytest.raises(ValueError):
         TheoryClass(1, 0)
+
+
+def test_ab_power_is_an_integer_not_a_truncated_float():
+    with pytest.raises(TypeError):
+        TheoryClass(2.5)
+
+
+def test_expected_ground_of_circles_and_intervals():
+    assert expected_ground(CircleClass.BOUNDING) == (1, "even")
+    assert expected_ground(CircleClass.NONBOUNDING) == (1, "odd")
+    assert expected_ground(None) == (2, "mixed")
 
 
 def test_point_value_counts_generators():
