@@ -41,7 +41,7 @@ if TYPE_CHECKING:  # each command imports the modules it runs
 
     from .clifford import GaussianRational
     from .quadform import Enhancement
-    from .surface import GluingScheme
+    from .surface import GluingScheme, IntersectionForm
     from .tqft import TheoryClass
 
 __all__ = ["main", "ParseError", "PreconditionError", "MAX_LITERAL_EXPONENT"]
@@ -64,10 +64,11 @@ class PreconditionError(ValueError):
 # a surface payload, its tokens joined by single spaces (or one token)
 _WORD = re.compile(r"(?:[A-Za-z][A-Za-z0-9]*'?(?: |\Z))*")
 _NAME_TOKEN = re.compile(r"[A-Za-z0-9_.-]+$")
-# Fraction("1e600") builds 10**600 first, so a decimal exponent is checked
-# against this bound before any Fraction is built
+# Fraction("1e600") builds 10**600 first, so a decimal exponent, in any
+# decimal digits (\d, as Fraction reads them), is checked against this bound
+# before any Fraction is built
 MAX_LITERAL_EXPONENT = 4300
-_EXPONENT = re.compile(r"[eE]([-+]?[0-9_]+)")
+_EXPONENT = re.compile(r"[eE]([-+]?[\d_]+)")
 
 
 class SurfaceStmt(NamedTuple):
@@ -471,11 +472,14 @@ def _attach_enhancements(
             "no enhancements given; add enhance lines"
             + ("" if inline_specs is None else " or --enhance")
         )
+    forms: dict[str, IntersectionForm] = {}  # one per surface, not per line
     out = []
     for surf, enh in pairs:
+        if surf.name not in forms:
+            forms[surf.name] = surface.surface_form(surf.scheme)
         values = dict(enh.values)
         try:
-            q = quadform.Enhancement(surface.surface_form(surf.scheme), values)
+            q = quadform.Enhancement(forms[surf.name], values)
         except ParityViolation:
             raise
         except ValueError as exc:
@@ -628,7 +632,7 @@ def cmd_tqft(
             )
     for surf, q, values in enhanced:
         _check_cap("form dimension", q.dim, cap_dim, "--cap-dim")
-        value = tqft.partition_function(theory, [(surf.scheme, q)])
+        value = tqft.partition_function(theory, [q])
         total = value if total is None else total * value
         emitter.emit(
             {
@@ -685,10 +689,13 @@ def cmd_selftest(emitter: Emitter) -> int:
 
 
 def _positive_int(text: str) -> int:
-    value = int(text)
-    if value <= 0:
-        raise argparse.ArgumentTypeError("must be a positive integer")
-    return value
+    try:
+        value = int(text)
+        if value > 0:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError("must be a positive integer")
 
 
 @functools.cache

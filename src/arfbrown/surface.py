@@ -8,7 +8,8 @@ first homology, one int mask per Gram row, on which enhancements live: a
 one-vertex word's own form (``intersection_form``), or for any word the form
 of a one-vertex word of the same surface (``surface_form``).  Each is one
 pass over the word; ``classify`` gives the classification, the canonical
-word and ``surface_form`` from one ``analyze``.
+word and ``surface_form`` from one ``analyze``.  A scheme holds only its
+word: a caller that needs a form more than once keeps it.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ class GluingScheme:
     In text form an apostrophe marks the inverse: "a b a' b'".
     """
 
-    __slots__ = ("_word", "_form")
+    __slots__ = ("_word",)
 
     def __init__(self, word: Iterable[tuple[str, int]]):
         w = tuple((str(letter), operator.index(exp)) for letter, exp in word)
@@ -67,14 +68,12 @@ class GluingScheme:
                 f"every letter must occur exactly twice; offending: {sorted(bad)}"
             )
         self._word = w
-        self._form: IntersectionForm | None = None  # set by surface_form
 
     @classmethod
     def _unchecked(cls, word: list[tuple[str, int]]) -> GluingScheme:
         """A scheme from a word that is valid by construction."""
         s = object.__new__(cls)
         s._word = tuple(word)
-        s._form = None
         return s
 
     @classmethod
@@ -295,9 +294,5 @@ def classify(s: GluingScheme) -> tuple[SurfaceInfo, GluingScheme, IntersectionFo
 
 def surface_form(s: GluingScheme) -> IntersectionForm:
     """The intersection form used for enhancements on this scheme: its own
-    if the word has one vertex (or is a sphere), else the normal form's.
-    It is built on the first call and kept on the scheme."""
-    if s._form is None:
-        info = analyze(s)
-        s._form = _form(s if info.vertex_count == 1 else _canonical_word(info), info)
-    return s._form
+    if the word has one vertex (or is a sphere), else the normal form's."""
+    return classify(s)[2]

@@ -4,9 +4,10 @@ A theory is an integer power of the Arf-Brown generator (mod 8, by Morita
 periodicity of Clifford algebras) together with a nonzero Euler weight.
 Points receive Clifford algebras, circles receive super lines, and closed
 surfaces receive the Arf-Brown root of unity raised to the theory's power
-times euler_weight^chi; each surface's enhancement lives on its
-``surface.surface_form``.  Stacking multiplies theories componentwise:
-powers add mod 8, weights multiply.
+times euler_weight^chi.  A pin- surface is given by its quadratic
+enhancement (Kirby-Taylor): the form's dimension is b1 = 2 - chi.
+Stacking multiplies theories componentwise: powers add mod 8, weights
+multiply.
 """
 
 from __future__ import annotations
@@ -17,15 +18,9 @@ from fractions import Fraction
 from typing import Iterable, NamedTuple
 
 from .clifford import GaussianRational, Signature
-from .errors import DimensionMismatch
 from .pin1 import Circle, CircleClass, classify_circle
 from .quadform import Enhancement, arf, arf_brown
-from .surface import (
-    GluingScheme,
-    intersection_form,
-    orientable_scheme,
-    surface_form,
-)
+from .surface import orientable_scheme, surface_form
 
 __all__ = [
     "TheoryClass",
@@ -133,21 +128,15 @@ def expected_ground(c: CircleClass | None) -> tuple[int, str]:
 
 
 def partition_function(
-    t: TheoryClass,
-    surfaces: Iterable[tuple[GluingScheme, Enhancement]],
+    t: TheoryClass, enhancements: Iterable[Enhancement]
 ) -> PartitionValue:
-    """The product value over a disjoint union of enhanced closed surfaces."""
+    """The product value over a disjoint union of closed pin- surfaces,
+    each given by its enhancement."""
     total_exponent = 0
     total_chi = 0
-    for scheme, q in surfaces:
-        expected = surface_form(scheme)
-        if q.form != expected:
-            raise DimensionMismatch(
-                "enhancement is defined on a different intersection form"
-                f" than the scheme {scheme.text()!r} carries"
-            )
+    for q in enhancements:
         total_exponent += arf_brown(q)
-        total_chi += 2 - expected.dim  # the form's dimension is b1 = 2 - chi
+        total_chi += 2 - q.dim
     return PartitionValue(
         exponent=t.ab_power * total_exponent % 8,
         euler_factor=t.euler_weight**total_chi,
@@ -203,7 +192,7 @@ def _check_circle_parities(max_edges: int = 6) -> CheckResult:
 
 def _check_torus_value() -> CheckResult:
     """The torus with both basis values 1 in Z/2 must evaluate to -1."""
-    form = intersection_form(orientable_scheme(1))
+    form = surface_form(orientable_scheme(1))
     a, b = form.basis_labels
     q = Enhancement(form, {a: 2, b: 2})
     exponent = arf_brown(q)
@@ -218,7 +207,7 @@ def _check_spin_exponents(samples: int = 50) -> CheckResult:
     """Even-valued enhancements must land in {0, 4} and match 4*Arf."""
     rng = random.Random(20260815)
     for k in range(samples):
-        form = intersection_form(orientable_scheme(rng.randint(1, 3)))
+        form = surface_form(orientable_scheme(rng.randint(1, 3)))
         values = {label: rng.choice((0, 2)) for label in form.basis_labels}
         q = Enhancement(form, values)
         exponent = arf_brown(q)

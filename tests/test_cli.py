@@ -430,7 +430,16 @@ def test_literal_exponents_up_to_the_bound_parse():
 
 
 @pytest.mark.parametrize(
-    "euler", ["1e999999999", "1e4301", "2+1e-4301i", "1e9_999_999", "1E+99999"]
+    "euler",
+    [
+        "1e999999999",
+        "1e4301",
+        "2+1e-4301i",
+        "1e9_999_999",
+        "1E+99999",
+        "1e٢٠٠٠٠٠",  # Arabic-Indic digits
+        "1e-２００００i",  # fullwidth digits
+    ],
 )
 def test_literal_exponent_beyond_the_bound_is_exit_2_at_once(capsys, euler):
     start = time.perf_counter()
@@ -439,6 +448,15 @@ def test_literal_exponent_beyond_the_bound_is_exit_2_at_once(capsys, euler):
     err = capsys.readouterr().err
     assert err.startswith("error: <theory>:1:6: decimal exponent ")
     assert "is beyond ±4300" in err
+
+
+@pytest.mark.parametrize(
+    "euler, twin",
+    [("1e٦٠٠", "1e600"), ("2+1e-３i", "2+1e-3i"), ("1E+٤٣٠٠", "1e4300")],
+)
+def test_non_ascii_exponent_digits_read_as_their_ascii_twin(euler, twin):
+    value = parse_theory(f"ab=1 euler={euler}").euler_weight
+    assert value == parse_theory(f"ab=1 euler={twin}").euler_weight
 
 
 @contextlib.contextmanager
@@ -558,6 +576,24 @@ def test_commands_take_no_cap_they_do_not_read(tmp_path, capsys, command, flag):
         main([command, flag, "3", *theory, *files])
     assert done.value.code == 2
     assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [("majorana", "--cap-n"), ("arf-brown", "--cap-dim"), ("tqft", "--cap-dim")],
+)
+@pytest.mark.parametrize("value", ["x", "1.5", "0", "-2"])
+def test_cap_that_is_not_a_positive_integer_is_a_usage_error(
+    tmp_path, capsys, command, flag, value
+):
+    path = _write(tmp_path, "c.surf", "circle c: 0\n")
+    theory = ["ab=1"] if command == "tqft" else []
+    with pytest.raises(SystemExit) as done:
+        main([command, f"{flag}={value}", *theory, path])
+    assert done.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}: must be a positive integer" in err
+    assert "_positive_int" not in err
 
 
 @pytest.mark.parametrize(

@@ -24,7 +24,7 @@ from arfbrown.majorana import (
     majorana_operators,
     reference_module,
 )
-from arfbrown.pin1 import HasBoundary
+from arfbrown.errors import HasBoundary
 
 
 def _all_setups(max_vertices):

@@ -7,17 +7,7 @@ import numpy as np
 import pytest
 
 from arfbrown.majorana import ChainSetup
-from arfbrown.pin1 import (
-    Circle,
-    CircleClass,
-    HasBoundary,
-    Interval,
-    Pin1Manifold,
-    bordism_class,
-    classify_circle,
-    concatenate,
-    interval_class,
-)
+from arfbrown.pin1 import Circle, CircleClass, Interval, classify_circle
 
 
 def test_component_validation():
@@ -69,43 +59,3 @@ def test_classification_depends_only_on_bit_sum():
         assert classify_circle(Circle(bits)) is c
         # subdividing an edge into two with a 0 bit preserves the class
         assert classify_circle(Circle(bits + [0])) is c
-
-
-def test_interval_class_is_additive_under_concatenation():
-    rng = random.Random(43)
-    for _ in range(50):
-        i1 = Interval([rng.randint(0, 1) for _ in range(rng.randint(1, 5))])
-        i2 = Interval([rng.randint(0, 1) for _ in range(rng.randint(1, 5))])
-        glued = concatenate(i1, i2)
-        assert interval_class(glued) == (
-            interval_class(i1) + interval_class(i2)
-        ) % 2
-
-
-def test_trivial_interval_is_the_identity():
-    identity = Interval((0,))
-    assert interval_class(identity) == 0
-    i = Interval((1, 0, 1))
-    assert interval_class(concatenate(i, identity)) == interval_class(i)
-
-
-def test_bordism_class_counts_nonbounding_circles():
-    nb = Circle((0,))
-    b = Circle((1,))
-    assert bordism_class(Pin1Manifold([])) == 0
-    assert bordism_class(Pin1Manifold([nb])) == 1
-    assert bordism_class(Pin1Manifold([nb, nb])) == 0
-    assert bordism_class(Pin1Manifold([nb, b, nb, b])) == 0
-    assert bordism_class(Pin1Manifold([nb, b, nb, nb])) == 1
-
-
-def test_bordism_class_needs_closed_manifold():
-    m = Pin1Manifold([Circle((0,)), Interval((1,))])
-    assert not m.is_closed()
-    with pytest.raises(HasBoundary):
-        bordism_class(m)
-
-
-def test_manifold_components_are_typed():
-    with pytest.raises(TypeError):
-        Pin1Manifold([(0, 1)])

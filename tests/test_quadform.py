@@ -229,7 +229,7 @@ def test_genus_11_evaluates_without_a_dimension_cap():
     q = Enhancement(form, {label: 2 for label in form.basis_labels})
     assert arf_brown(q) == 4
     assert gauss_sum(q) == (-(2**11), 0, 0, 0)
-    value = partition_function(TheoryClass(1, 2), [(scheme, q)])
+    value = partition_function(TheoryClass(1, 2), [q])
     assert value.exponent == 4
     assert value.euler_factor == Fraction(1, 2**20)
 

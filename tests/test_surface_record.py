@@ -139,6 +139,30 @@ def test_one_form_per_surface_for_its_enhancements(tmp_path, capsys, monkeypatch
     assert [r["exponent"] for r in records] == [0, 6]
 
 
+def test_one_surface_form_call_per_surface_for_three_enhance_lines(
+    tmp_path, capsys, monkeypatch
+):
+    calls = []
+    build = surface.surface_form
+
+    def counting(s):
+        calls.append(s.text())
+        return build(s)
+
+    monkeypatch.setattr(surface, "surface_form", counting)
+    path = _write(
+        tmp_path,
+        "surface T: a b a' b'\n"
+        "enhance T: a=0 b=0\nenhance T: a=2 b=0\nenhance T: a=2 b=2\n",
+    )
+    for argv in (["arf-brown", path], ["tqft", "ab=1", path]):
+        calls.clear()
+        assert main([argv[0], "--format", "structured", *argv[1:]]) == 0
+        assert calls == ["a b a' b'"], argv[0]
+    records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert [r["exponent"] for r in records if r["record"] == "partition"] == [0, 0, 4]
+
+
 def test_one_validating_construction_per_surface_statement(
     tmp_path, capsys, monkeypatch
 ):

@@ -1,13 +1,17 @@
 """Theory values on points, circles, and enhanced closed surfaces."""
 
+import operator
 import random
 from fractions import Fraction
+from functools import reduce
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from arfbrown.clifford import GaussianRational
 from arfbrown.pin1 import Circle, CircleClass, classify_circle
-from arfbrown.quadform import DimensionMismatch, Enhancement, arf, arf_brown
+from arfbrown.quadform import Enhancement, arf, arf_brown
 from arfbrown.surface import (
     GluingScheme,
     analyze,
@@ -25,11 +29,11 @@ from arfbrown.tqft import (
     stack,
     surface_form,
 )
+from surface_oracle import random_scheme
 
 
-def _enhanced(text: str, values: dict):
-    scheme = GluingScheme.from_text(text)
-    return scheme, Enhancement(surface_form(scheme), values)
+def _enhanced(text: str, values: dict) -> Enhancement:
+    return Enhancement(surface_form(GluingScheme.from_text(text)), values)
 
 
 def test_theory_normalization():
@@ -70,65 +74,47 @@ def test_circle_values():
 
 
 def test_torus_partition_value():
-    pair = _enhanced("a b a' b'", {"a": 2, "b": 2})
-    value = partition_function(TheoryClass(1), [pair])
+    q = _enhanced("a b a' b'", {"a": 2, "b": 2})
+    value = partition_function(TheoryClass(1), [q])
     assert value.exponent == 4
     assert value.euler_factor == GaussianRational(1)
 
 
 def test_sphere_partition_value_is_euler_weight_squared():
-    pair = _enhanced("a a'", {})
-    value = partition_function(TheoryClass(0, 2), [pair])
+    q = _enhanced("a a'", {})
+    value = partition_function(TheoryClass(0, 2), [q])
     assert value.exponent == 0
     assert value.euler_factor == GaussianRational(4)
 
 
 def test_partition_function_is_multiplicative():
     t = TheoryClass(3, GaussianRational(0, 1))
-    p1 = _enhanced("a a", {"a": 1})
-    p2 = _enhanced("a b a' b'", {"a": 0, "b": 2})
-    both = partition_function(t, [p1, p2])
-    v1 = partition_function(t, [p1])
-    v2 = partition_function(t, [p2])
+    q1 = _enhanced("a a", {"a": 1})
+    q2 = _enhanced("a b a' b'", {"a": 0, "b": 2})
+    both = partition_function(t, [q1, q2])
+    v1 = partition_function(t, [q1])
+    v2 = partition_function(t, [q2])
     assert both.exponent == (v1.exponent + v2.exponent) % 8
     assert both.euler_factor == v1.euler_factor * v2.euler_factor
     assert both == v1 * v2
 
 
 def test_partition_exponent_scales_with_ab_power():
-    pair = _enhanced("a a", {"a": 1})
-    base = arf_brown(pair[1])
+    q = _enhanced("a a", {"a": 1})
+    base = arf_brown(q)
     assert base == 1
     for k in range(8):
-        value = partition_function(TheoryClass(k), [pair])
+        value = partition_function(TheoryClass(k), [q])
         assert value.exponent == (k * base) % 8
 
 
 def test_rp2_value_separates_the_eight_theories():
-    pair = _enhanced("a a", {"a": 1})
+    q = _enhanced("a a", {"a": 1})
     seen = {
-        partition_function(TheoryClass(k), [pair]).exponent
+        partition_function(TheoryClass(k), [q]).exponent
         for k in range(8)
     }
     assert len(seen) == 8
-
-
-def test_enhancement_on_wrong_form_rejected():
-    torus = GluingScheme.from_text("a b a' b'")
-    rp2_form = surface_form(GluingScheme.from_text("a a"))
-    q = Enhancement(rp2_form, {"a": 1})
-    with pytest.raises(DimensionMismatch):
-        partition_function(TheoryClass(1), [(torus, q)])
-
-
-def test_kept_form_still_rejects_a_mismatched_enhancement():
-    torus = GluingScheme.from_text("a1 a2 b a2' a1' b'")
-    form = surface_form(torus)
-    assert surface_form(torus) is form
-    q = Enhancement(surface_form(GluingScheme.from_text("a a b b")), {"a": 1, "b": 1})
-    with pytest.raises(DimensionMismatch):
-        partition_function(TheoryClass(1), [(torus, q)])
-    partition_function(TheoryClass(1), [(torus, Enhancement(form, {"a": 2, "b": 0}))])
 
 
 def test_surface_form_for_multi_vertex_words():
@@ -139,6 +125,30 @@ def test_surface_form_for_multi_vertex_words():
     assert form.dim == 2
     assert form.rows == (0b10, 0b01)
     assert form == intersection_form(orientable_scheme(1))
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(
+    st.randoms(use_true_random=False),
+    st.integers(0, 7),
+    st.sampled_from([GaussianRational(2), GaussianRational(Fraction(-1, 3), 1)]),
+)
+def test_partition_function_on_random_words(rng, ab, weight):
+    # chi = 2 - dim of each enhancement's form agrees with the classification
+    schemes = [random_scheme(rng, rng.randint(1, 8)) for _ in range(rng.randint(1, 3))]
+    qs = []
+    for scheme in schemes:
+        form = surface_form(scheme)
+        values = {
+            label: (form.rows[i] >> i & 1) + 2 * rng.randint(0, 1)
+            for i, label in enumerate(form.basis_labels)
+        }
+        qs.append(Enhancement(form, values))
+    t = TheoryClass(ab, weight)
+    value = partition_function(t, qs)
+    assert value == reduce(operator.mul, (partition_function(t, [q]) for q in qs))
+    assert value.exponent == ab * sum(arf_brown(q) for q in qs) % 8
+    assert value.euler_factor == weight ** sum(analyze(s).euler_char for s in schemes)
 
 
 def test_stack_laws():
@@ -164,12 +174,12 @@ def test_stack_laws():
 
 
 def test_stacking_multiplies_partition_values():
-    pair = _enhanced("a a b b", {"a": 1, "b": 3})
+    q = _enhanced("a a b b", {"a": 1, "b": 3})
     t1 = TheoryClass(2, GaussianRational(2))
     t2 = TheoryClass(5, GaussianRational(0, 1))
-    v1 = partition_function(t1, [pair])
-    v2 = partition_function(t2, [pair])
-    v = partition_function(stack(t1, t2), [pair])
+    v1 = partition_function(t1, [q])
+    v2 = partition_function(t2, [q])
+    v = partition_function(stack(t1, t2), [q])
     assert v.exponent == (v1.exponent + v2.exponent) % 8
     assert v.euler_factor == v1.euler_factor * v2.euler_factor
 
@@ -202,5 +212,5 @@ def test_spin_surface_exponents_match_arf():
         exp = arf_brown(q)
         assert exp in (0, 4)
         assert exp == 4 * arf(q)
-        value = partition_function(TheoryClass(1), [(orientable_scheme(genus), q)])
+        value = partition_function(TheoryClass(1), [q])
         assert value.exponent == exp
