@@ -5,7 +5,8 @@ Subpackages by topic: GF(2) linear algebra (f2), polygon gluing words
 rationals, Clifford signatures and the supermodule of generator words
 (clifford), combinatorial structures on 1-manifolds (pin1), the chain
 Hamiltonian and its exact spectra (majorana), the theory evaluator
-(tqft), and the command line (cli).  The package exports
+(tqft), and the command line (cli, with one module per command in
+commands).  The package exports
 every name in the `__all__` of its runtime modules, and no other.  The
 namespace is lazy: `import arfbrown` loads no submodule, and a module
 loads on the first use of a name that needs it.

@@ -15,8 +15,9 @@ word: a caller that needs a form more than once keeps it.
 from __future__ import annotations
 
 import operator
+from collections import Counter
 from itertools import count
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 __all__ = [
     "GluingScheme",
@@ -53,21 +54,12 @@ class GluingScheme:
 
     def __init__(self, word: Iterable[tuple[str, int]]):
         w = tuple((str(letter), operator.index(exp)) for letter, exp in word)
-        counts: dict[str, int] = {}
         for letter, exp in w:
             if exp not in (1, -1):
                 raise MalformedWord(f"exponent must be +1 or -1, got {exp}")
             if not letter:
                 raise MalformedWord("empty letter id")
-            counts[letter] = counts.get(letter, 0) + 1
-        if not w:
-            raise MalformedWord("word is empty")
-        bad = [letter for letter, c in counts.items() if c != 2]
-        if bad:
-            raise MalformedWord(
-                f"every letter must occur exactly twice; offending: {sorted(bad)}"
-            )
-        self._word = w
+        self._word = _paired(w)
 
     @classmethod
     def _unchecked(cls, word: list[tuple[str, int]]) -> GluingScheme:
@@ -78,15 +70,12 @@ class GluingScheme:
 
     @classmethod
     def from_text(cls, text: str) -> GluingScheme:
-        """Parse a whitespace-separated word, apostrophe = inverse."""
-        word = []
-        for tok in text.split():
-            if tok.endswith("'"):
-                letter, exp = tok[:-1], -1
-            else:
-                letter, exp = tok, 1
-            word.append((letter, exp))
-        return cls(word)
+        """Parse a whitespace-separated word, apostrophe = inverse.  Each
+        letter is a string and each exponent ±1 by construction, so one pass
+        builds the word and only its letters are counted."""
+        return cls._unchecked(
+            _paired([(t[:-1], -1) if t[-1] == "'" else (t, 1) for t in text.split()])
+        )
 
     @property
     def word(self) -> tuple[tuple[str, int], ...]:
@@ -116,6 +105,22 @@ class GluingScheme:
 
     def __repr__(self) -> str:
         return f"GluingScheme.from_text({self.text()!r})"
+
+
+def _paired(word: Sequence[tuple[str, int]]) -> Sequence[tuple[str, int]]:
+    """The word, once it is seen to be nonempty, with nonempty letters that
+    each occur exactly twice."""
+    counts = Counter(letter for letter, _ in word)
+    if "" in counts:
+        raise MalformedWord("empty letter id")
+    if not word:
+        raise MalformedWord("word is empty")
+    bad = [letter for letter, c in counts.items() if c != 2]
+    if bad:
+        raise MalformedWord(
+            f"every letter must occur exactly twice; offending: {sorted(bad)}"
+        )
+    return word
 
 
 class SurfaceInfo(NamedTuple):

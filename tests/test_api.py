@@ -48,10 +48,10 @@ RUNTIME = [
 
 
 def test_package_exports_every_module_name():
-    # exactla, cli and _dense stay unexported
+    # exactla, cli, commands and _dense stay unexported
     want = [name for module in RUNTIME for name in MODULES[module].__all__]
     assert arfbrown.__all__ == want
-    assert sorted(set(MODULES) - set(RUNTIME)) == ["_dense", "cli", "exactla"]
+    assert sorted(set(MODULES) - set(RUNTIME)) == ["_dense", "cli", "commands", "exactla"]
 
 
 # exact elimination that only the tests' oracles use; exactla keeps them
@@ -61,7 +61,7 @@ ORACLE_ONLY = {"solve_in_span", "fraction_rref", "modular_nullity"}
 
 def test_no_runtime_module_imports_the_oracle_eliminations():
     offenders = []
-    for path in sorted(Path(arfbrown.__file__).parent.glob("*.py")):
+    for path in sorted(Path(arfbrown.__file__).parent.rglob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
             if isinstance(node, (ast.Import, ast.ImportFrom)):
                 names = {alias.name.rpartition(".")[2] for alias in node.names}
@@ -71,9 +71,9 @@ def test_no_runtime_module_imports_the_oracle_eliminations():
 
 def test_no_runtime_module_imports_a_private_name_of_another():
     package = Path(arfbrown.__file__).parent
-    modules = {path.stem for path in package.glob("*.py")}  # _dense is one
+    modules = {path.stem for path in package.rglob("*.py")}  # _dense is one
     offenders = []
-    for path in sorted(package.glob("*.py")):
+    for path in sorted(package.rglob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
             if isinstance(node, ast.ImportFrom) and node.level:
                 offenders += [
@@ -167,7 +167,16 @@ def test_command_line_starts_with_only_its_errors():
     assert _python(snippet).split() == ["arfbrown", "arfbrown.cli", "arfbrown.errors"]
 
 
-# one command runs in-process on one file; its output is discarded
+def test_each_command_body_lives_in_its_own_module():
+    cli = importlib.import_module("arfbrown.cli")
+    assert [name for name in vars(cli) if name.startswith("cmd_")] == []
+    for command in ["surface", "arf_brown", "majorana", "tqft", "selftest"]:
+        module = importlib.import_module(f"arfbrown.commands.{command}")
+        assert [n for n in module.__all__ if n.startswith("cmd_")] == [f"cmd_{command}"]
+
+
+# one command runs in-process on one file (FILE in its argv); its output is
+# discarded
 _AFTER_COMMAND = """
 import contextlib, io, os, sys, tempfile
 import arfbrown.cli as cli
@@ -176,23 +185,37 @@ with tempfile.TemporaryDirectory() as tmp:
     with open(path, "w") as handle:
         handle.write("surface K: a a b b\\nenhance K: a=1 b=3\\ncircle c: 1 0 1\\n")
     with contextlib.redirect_stdout(io.StringIO()):
-        code = cli.main([*sys.argv[1:], path])
+        code = cli.main([path if a == "FILE" else a for a in sys.argv[1:]])
     assert code == 0, code
 """ + _LOADED
 
 
 @pytest.mark.parametrize(
-    "argv, absent",
+    "argv, absent, commands",
     [
-        (["surface"], ["quadform", "tqft", "majorana", "clifford", "pin1", "exactla"]),
-        (["arf-brown"], ["majorana", "tqft", "clifford", "exactla"]),
-        (["tqft", "ab=1"], ["majorana", "exactla"]),
+        (
+            ["surface", "FILE"],
+            ["quadform", "tqft", "majorana", "clifford", "pin1", "exactla"],
+            ["surface"],
+        ),
+        (
+            ["arf-brown", "FILE"],
+            ["majorana", "tqft", "clifford", "exactla"],
+            ["arf_brown", "enhanced"],
+        ),
+        (["majorana", "FILE"], ["_dense"], ["majorana"]),
+        (["tqft", "ab=1", "FILE"], ["majorana", "exactla"], ["enhanced", "tqft"]),
+        (["selftest"], ["_dense"], ["selftest"]),
     ],
-    ids=["surface", "arf-brown", "tqft"],
+    ids=["surface", "arf-brown", "majorana", "tqft", "selftest"],
 )
-def test_each_command_loads_only_its_modules(argv, absent):
+def test_each_command_loads_only_its_modules(argv, absent, commands):
     loaded = _python(_AFTER_COMMAND, *argv).split()
     assert [m for m in loaded if m[len("arfbrown."):] in absent] == []
+    # the command package and the one command's modules, no other command's
+    assert [m for m in loaded if m.startswith("arfbrown.commands")] == [
+        "arfbrown.commands", *(f"arfbrown.commands.{c}" for c in commands)
+    ]
 
 
 def test_star_import_binds_every_exported_name():

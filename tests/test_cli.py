@@ -4,22 +4,21 @@ import argparse
 import contextlib
 import io
 import json
+import os
+import subprocess
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import arfbrown
 from arfbrown import quadform, surface
-from arfbrown.cli import (
-    MAX_LITERAL_EXPONENT,
-    Emitter,
-    build_parser,
-    cmd_selftest,
-    main,
-    parse_theory,
-)
+from arfbrown.cli import MAX_LITERAL_EXPONENT, Emitter, build_parser, main
 from arfbrown.clifford import GaussianRational
+from arfbrown.commands.selftest import cmd_selftest
+from arfbrown.commands.tqft import parse_theory
 from arfbrown.majorana import ChainSetup, ground_states
 
 
@@ -620,3 +619,50 @@ def test_redefined_surface_name_is_exit_2_at_the_second_definition(tmp_path, cap
         assert f"{second}:2:1: surface 'T' is already defined at {first}:1" in err
     assert main(["surface", "--format", "structured", first, second]) == 0
     assert [r["word"] for r in _records(capsys)] == ["a b a' b'", "a a"]
+
+
+# --------------------------------------------------------- as a process
+
+
+def _cli_process(*argv: str, **kwargs) -> subprocess.Popen:
+    """`python -m arfbrown.cli ARGV` on this checkout."""
+    src = str(Path(arfbrown.__file__).resolve().parent.parent)
+    return subprocess.Popen(
+        [sys.executable, "-m", "arfbrown.cli", *argv],
+        env={**os.environ, "PYTHONPATH": src},
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        **kwargs,
+    )
+
+
+def test_script_exits_with_the_codes_of_main(tmp_path):
+    # run with -m, cli.py is __main__; the errors the commands raise are the
+    # arfbrown.cli classes, and they still map to their exit codes
+    bad = _write(tmp_path, "bad.surf", "surface K: a a b\n")
+    big = _write(tmp_path, "big.surf", "circle c: " + "0 " * 11 + "\n")
+    for argv, code in [(["surface", bad], 2), (["majorana", big], 4)]:
+        out, err = _cli_process(*argv).communicate(timeout=60)
+        assert out == b"" and err.startswith(b"error: "), err
+        assert b"Traceback" not in err
+
+
+def test_closed_stdout_exits_141_without_a_traceback(tmp_path):
+    # the output outgrows a 64 KiB pipe buffer, so the writer is still
+    # writing when the reader closes the pipe after one line
+    path = _write(tmp_path, "c.surf", "".join(f"circle c{k}: 1 0 1\n" for k in range(2000)))
+    proc = _cli_process("majorana", "--format", "structured", path)
+    assert json.loads(proc.stdout.readline())["name"] == "c0"
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 141
+    assert "Traceback" not in err and "Exception ignored" not in err, err
+
+
+def test_a_process_without_stdout_still_exits_0(tmp_path, monkeypatch):
+    # sys.stdout is None when a process starts with file descriptor 1 closed;
+    # print drops what it is given, and main flushes nothing
+    path = _write(tmp_path, "t.surf", "surface T: a b a' b'\n")
+    monkeypatch.setattr(sys, "stdout", None)
+    assert main(["surface", path]) == 0

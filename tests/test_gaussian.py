@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from arfbrown.cli import _render_gaussian, parse_theory
 from arfbrown.clifford import GaussianRational
+from arfbrown.commands.tqft import _render_gaussian, parse_theory
 from gaussian_oracle import PairGaussian
 
 _SETTINGS = settings(max_examples=200, deadline=None, database=None)

@@ -133,6 +133,36 @@ def test_malformed_words():
         GluingScheme([("a", 2), ("a", 1)])
 
 
+def _outcome(build, word):
+    try:
+        return build(word).word
+    except MalformedWord as exc:
+        return str(exc)
+
+
+def test_from_text_counts_letters_as_the_constructor_checks_pairs():
+    # from_text checks only letter counts; on every word of at most four
+    # tokens over a, b and the empty letter it agrees with GluingScheme(pairs),
+    # word for word or message for message
+    tokens = ["a", "a'", "b", "b'", "'"]
+    for n in range(5):
+        for word in product(tokens, repeat=n):
+            pairs = [(t[:-1], -1) if t.endswith("'") else (t, 1) for t in word]
+            want = _outcome(GluingScheme, pairs)
+            assert _outcome(GluingScheme.from_text, " ".join(word)) == want, word
+
+
+def test_constructor_messages_keep_their_order():
+    assert _outcome(GluingScheme, [("", 1), ("a", 5)]) == "empty letter id"
+    assert _outcome(GluingScheme, [("a", 5), ("", 1)]) == (
+        "exponent must be +1 or -1, got 5"
+    )
+    assert _outcome(GluingScheme, []) == "word is empty"
+    assert _outcome(GluingScheme, [("b", 1), ("a", -1), ("b", 1), ("b", 1)]) == (
+        "every letter must occur exactly twice; offending: ['a', 'b']"
+    )
+
+
 def test_exponents_are_integers_not_truncated_floats():
     with pytest.raises(TypeError):
         GluingScheme([("a", 1.5), ("a", 1.9)])

@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import arfbrown.surface as surface
-from arfbrown.cli import Emitter, JSONText, cmd_surface, main
+from arfbrown.cli import Emitter, JSONText, main
+from arfbrown.commands.surface import cmd_surface
 from test_properties import gluing_words, one_vertex_words
 
 WORDS = """\
@@ -166,14 +167,16 @@ def test_one_surface_form_call_per_surface_for_three_enhance_lines(
 def test_one_validating_construction_per_surface_statement(
     tmp_path, capsys, monkeypatch
 ):
+    # every validating construction, GluingScheme(word) and from_text,
+    # counts the word's letters in surface._paired
     built = []
-    init = surface.GluingScheme.__init__
+    paired = surface._paired
 
-    def counting(self, word):
-        init(self, word)
-        built.append(self.text())
+    def counting(word):
+        built.append(surface.GluingScheme._unchecked(paired(word)).text())
+        return word
 
-    monkeypatch.setattr(surface.GluingScheme, "__init__", counting)
+    monkeypatch.setattr(surface, "_paired", counting)
     assert main(["surface", "--format", "structured", _write(tmp_path, WORDS)]) == 0
     assert built == ["a a'", "a b a' b'", "a b c a b c", "a a b b c c"]
     assert len(capsys.readouterr().out.splitlines()) == 4
