@@ -15,7 +15,8 @@ number encodings only: integers, [numerator, denominator] pairs for
 rationals, {re, im} pairs for Gaussian rationals, and 4-tuples of integers
 for elements of Z[zeta8].  Exit codes: 0 success, 1 failing selftest,
 2 parse error, 3 precondition violation, 4 cap exceeded, 5 failed runtime
-certificate, 141 stdout closed by its reader.
+certificate, 74 output that cannot be written (a full disk, say), 141
+stdout closed by its reader.
 
 This module holds what every command shares: the statement grammar
 (`parse_file`), the record writer (`Emitter`), the argument parser and
@@ -32,9 +33,10 @@ import json
 import os
 import re
 import sys
+from collections import namedtuple
 from importlib import import_module
 from types import ModuleType
-from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from .errors import (
     CapExceeded,
@@ -73,33 +75,12 @@ _NAME_TOKEN = re.compile(r"[A-Za-z0-9_.-]+$")
 MAX_LITERAL_EXPONENT = 4300
 
 
-class SurfaceStmt(NamedTuple):
-    name: str
-    scheme: GluingScheme
-    path: str
-    line: int
-
-
-class EnhanceStmt(NamedTuple):
-    name: str
-    values: tuple[tuple[str, int], ...]
-    path: str
-    line: int
-
-
-class ComponentStmt(NamedTuple):
-    name: str
-    kind: str
-    bits: tuple[int, ...]
-    orientation: int
-    path: str
-    line: int
-
-
-class PointStmt(NamedTuple):
-    name: str
-    path: str
-    line: int
+# the parsed statements, plain namedtuples since every start builds their
+# classes: scheme is a GluingScheme, values (label, int) pairs, bits 0s and 1s
+SurfaceStmt = namedtuple("SurfaceStmt", "name scheme path line")
+EnhanceStmt = namedtuple("EnhanceStmt", "name values path line")
+ComponentStmt = namedtuple("ComponentStmt", "name kind bits orientation path line")
+PointStmt = namedtuple("PointStmt", "name path line")
 
 
 class TokenError(Exception):
@@ -372,6 +353,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _drop_stdout() -> None:
+    """Point stdout's file descriptor, if it has one, at the null device:
+    what is still buffered goes there, so the interpreter's last flush
+    cannot raise again."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, ValueError, OSError):  # None, or a stream without one
+        return
+    null = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(null, fd)
+    os.close(null)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -381,11 +375,13 @@ def main(argv: Sequence[str] | None = None) -> int:
         if sys.stdout is not None:  # None in a process started without one
             sys.stdout.flush()
         return code
-    except BrokenPipeError:
-        # the reader closed stdout: what is still buffered goes to the null
-        # device, so the interpreter's last flush cannot raise again
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    except BrokenPipeError:  # the reader closed stdout
+        _drop_stdout()
         return 141  # 128 + SIGPIPE, as a shell reports a writer it ends
+    except OSError as exc:  # stdout cannot take the output: a full disk, say
+        print(f"error: cannot write output: {exc.strerror or exc}", file=sys.stderr)
+        _drop_stdout()
+        return 74  # EX_IOERR
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,14 +1,15 @@
 """Clifford signatures, the supermodule (C^{1|1})^{(x) n} and Gaussian rationals.
 
 A point's value is a `Signature`, Cl(p, q) held as its two counts: p
-generators e1..ep of square +1, then q generators f1..fq of square -1.
-The Majorana chain lives on (C^{1|1})^{(x) n}, where generators 2v and
-2v+1 are factor v's +1 and -1 generator.  `evaluate_on_empty` applies a
-word of them to the empty subset and holds the sign rule, written once;
-every result of the chain and the irreducible supermodule of a signature
-with n positive and n negative generators (`irreducible_supermodule`, odd
-`SuperMatrix` action matrices) are built from it.  Values are exact
-`GaussianRational`s.  Nothing here needs numpy.
+generators of square +1, then q of square -1.  The Majorana chain lives
+on (C^{1|1})^{(x) n}, where generators 2v and 2v+1 are factor v's +1 and
+-1 generator.  `evaluate_on_empty` applies a word of them to the empty
+subset and holds the sign rule, written once; every result of the chain
+and the irreducible supermodule of a signature with n positive and n
+negative generators (`irreducible_supermodule`, odd `SuperMatrix` action
+matrices) are built from it.  Entries and Euler weights are exact
+`GaussianRational`s, which multiply, invert and take integer powers.
+Nothing here needs numpy.
 """
 
 from __future__ import annotations
@@ -64,28 +65,6 @@ class GaussianRational:
     def im(self) -> Fraction:
         return Fraction(self._b, self._d)
 
-    def __add__(self, other: GaussianRational | Fraction | int) -> GaussianRational:
-        other = _operand(other)
-        if other is None:
-            return NotImplemented
-        d, e = self._d, other._d
-        a, b = self._a * e + other._a * d, self._b * e + other._b * d
-        return _reduced(a, b, d * e)
-
-    __radd__ = __add__
-
-    def __sub__(self, other: GaussianRational | Fraction | int) -> GaussianRational:
-        other = _operand(other)
-        if other is None:
-            return NotImplemented
-        return self + -other
-
-    def __rsub__(self, other: Fraction | int) -> GaussianRational:
-        return GaussianRational(other) - self
-
-    def __neg__(self) -> GaussianRational:
-        return _reduced(-self._a, -self._b, self._d)
-
     def __mul__(self, other: GaussianRational | Fraction | int) -> GaussianRational:
         other = _operand(other)
         if other is None:
@@ -102,15 +81,6 @@ class GaussianRational:
         if n == 0:
             raise ZeroDivisionError("inverse of zero in Q(i)")
         return _reduced(a * d, -b * d, n)
-
-    def __truediv__(self, other: GaussianRational | Fraction | int) -> GaussianRational:
-        other = _operand(other)
-        if other is None:
-            return NotImplemented
-        return self * other.inverse()
-
-    def __rtruediv__(self, other: Fraction | int) -> GaussianRational:
-        return GaussianRational(other) * self.inverse()
 
     def __pow__(self, n: int) -> GaussianRational:
         """(a + b i)^n / d^n: Gaussian-integer squaring, one gcd at the end."""
@@ -163,7 +133,7 @@ def _reduced(a: int, b: int, d: int) -> GaussianRational:
 
 
 class Signature:
-    """Cl(p, q): generators e1..ep of square +1, then f1..fq of square -1."""
+    """Cl(p, q): p generators of square +1, then q of square -1."""
 
     __slots__ = ("positive", "negative")
 
@@ -177,19 +147,6 @@ class Signature:
     def cl(cls, positive: int, negative: int = 0) -> Signature:
         """Signature(positive, negative), spelled as the algebra Cl(p, q)."""
         return cls(positive, negative)
-
-    @property
-    def labels(self) -> tuple[str, ...]:
-        return self.positive_labels() + self.negative_labels()
-
-    def sign(self, label: str) -> int:
-        return 1 if self.labels.index(label) < self.positive else -1
-
-    def positive_labels(self) -> tuple[str, ...]:
-        return tuple(f"e{k + 1}" for k in range(self.positive))
-
-    def negative_labels(self) -> tuple[str, ...]:
-        return tuple(f"f{k + 1}" for k in range(self.negative))
 
     def __len__(self) -> int:
         return self.positive + self.negative
@@ -243,80 +200,34 @@ def evaluate_on_empty(word: Sequence[int]) -> tuple[int, int]:
 
 
 class SuperMatrix:
-    """A homogeneous matrix on a graded space C^{dim_even | dim_odd}.
+    """An odd matrix on a graded space C^{dim_even | dim_odd}.
 
     Basis order: the dim_even even vectors first, then the dim_odd odd
-    ones.  An even matrix has zero off-diagonal blocks; an odd matrix has
-    zero diagonal blocks.  Construction rejects entries outside the blocks
-    allowed by the declared parity.
+    ones.  An odd matrix has zero diagonal blocks; construction rejects an
+    entry inside them.
     """
 
-    __slots__ = ("_de", "_do", "_rows", "_parity")
+    __slots__ = ("_rows",)
 
     def __init__(
         self,
         dim_even: int,
         dim_odd: int,
         entries: Sequence[Sequence[GaussianRational | Fraction | int]],
-        parity: str,
     ):
-        if parity not in ("even", "odd"):
-            raise ValueError("parity must be 'even' or 'odd'")
         size = dim_even + dim_odd
         if len(entries) != size or any(len(row) != size for row in entries):
             raise ValueError(f"entries must be a {size}x{size} matrix")
         rows = tuple(tuple(map(GaussianRational.coerce, row)) for row in entries)
-        odd = parity == "odd"
-        # the columns an even matrix forbids in an even row, then an odd row
-        forbidden = (range(dim_even, size), range(dim_even))
         for i, row in enumerate(rows):
-            for j in forbidden[(i < dim_even) == odd]:
+            # an even row may not reach an even column, nor an odd row an odd one
+            for j in range(dim_even) if i < dim_even else range(dim_even, size):
                 if not row[j].is_zero():
-                    raise ValueError(
-                        f"entry ({i},{j}) lies outside the {parity} blocks"
-                    )
-        self._de = dim_even
-        self._do = dim_odd
+                    raise ValueError(f"entry ({i},{j}) lies outside the odd blocks")
         self._rows = rows
-        self._parity = parity
-
-    @property
-    def dim_even(self) -> int:
-        return self._de
-
-    @property
-    def dim_odd(self) -> int:
-        return self._do
-
-    @property
-    def size(self) -> int:
-        return self._de + self._do
-
-    @property
-    def parity(self) -> str:
-        return self._parity
-
-    def entry(self, i: int, j: int) -> GaussianRational:
-        return self._rows[i][j]
 
     def rows(self) -> tuple[tuple[GaussianRational, ...], ...]:
         return self._rows
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, SuperMatrix)
-            and (self._de, self._do) == (other._de, other._do)
-            and self._rows == other._rows
-        )
-
-    def __hash__(self) -> int:
-        return hash((self._de, self._do, self._rows))
-
-    def __repr__(self) -> str:
-        return (
-            f"SuperMatrix(dim_even={self._de}, dim_odd={self._do},"
-            f" parity={self._parity!r})"
-        )
 
 
 def irreducible_supermodule(sig: Signature) -> list[SuperMatrix]:
@@ -350,5 +261,5 @@ def irreducible_supermodule(sig: Signature) -> list[SuperMatrix]:
         for j, column in enumerate(columns):
             sign, mask = evaluate_on_empty([g, *column])
             rows[position[mask]][j] = unit[sign]
-        out.append(SuperMatrix(half, half, rows, "odd"))
+        out.append(SuperMatrix(half, half, rows))
     return out

@@ -53,8 +53,7 @@ def cmd_tqft(
     total = None
     for stmt in statements:
         if isinstance(stmt, PointStmt):
-            value = tqft.evaluate_point(theory)
-            k = len(value.signature)
+            k = len(tqft.evaluate_point(theory))
             emitter.emit(
                 {
                     "record": "point",
@@ -70,15 +69,15 @@ def cmd_tqft(
                     f" {stmt.name!r}"
                 )
             cls = pin1.classify_circle(pin1.Circle(stmt.bits))
-            line = tqft.evaluate_circle(theory, cls)
+            parity = tqft.evaluate_circle(theory, cls)
             emitter.emit(
                 {
                     "record": "circle",
                     "name": stmt.name,
                     "class": cls.value,
-                    "parity": line.parity,
+                    "parity": parity,
                 },
-                lambda: [f"circle {stmt.name}: {cls.value}, {line.parity} line"],
+                lambda: [f"circle {stmt.name}: {cls.value}, {parity} line"],
             )
     for surf, q, values in enhanced:
         check_cap("form dimension", q.dim, cap_dim, "--cap-dim")

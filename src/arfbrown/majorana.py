@@ -78,16 +78,8 @@ class ChainSetup:
         return self._component
 
     @property
-    def orientation(self) -> int:
-        return self._orientation
-
-    @property
     def is_circle(self) -> bool:
         return isinstance(self._component, Circle)
-
-    @property
-    def edge_bits(self) -> tuple[int, ...]:
-        return self._component.edge_bits
 
     @property
     def vertex_count(self) -> int:
@@ -115,7 +107,8 @@ class ChainSetup:
     def __repr__(self) -> str:
         kind = "circle" if self.is_circle else "interval"
         sign = "+" if self._orientation == 1 else "-"
-        return f"ChainSetup({kind} {list(self.edge_bits)}, orientation {sign})"
+        bits = list(self._component.edge_bits)
+        return f"ChainSetup({kind} {bits}, orientation {sign})"
 
 
 def _edge_terms(setup: ChainSetup) -> list[tuple[int, list[int]]]:

@@ -43,10 +43,6 @@ class _Component:
     def edge_bits(self) -> tuple[int, ...]:
         return self._bits
 
-    @property
-    def edge_count(self) -> int:
-        return len(self._bits)
-
     def bit_sum(self) -> int:
         return sum(self._bits)
 

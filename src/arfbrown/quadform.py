@@ -22,7 +22,6 @@ even-valued Z/4 enhancements, value 2q.
 from __future__ import annotations
 
 import operator
-from itertools import product
 from typing import Mapping
 
 from .errors import CertificateError, DimensionMismatch, NotSpin, ParityViolation
@@ -32,7 +31,6 @@ from .surface import IntersectionForm
 __all__ = [
     "Enhancement",
     "evaluate",
-    "enumerate_enhancements",
     "arf",
     "gauss_sum",
     "gauss_sum_of_root",
@@ -82,10 +80,6 @@ class Enhancement:
         return self._form
 
     @property
-    def values(self) -> dict[str, int]:
-        return dict(self._values)
-
-    @property
     def dim(self) -> int:
         return self._form.dim
 
@@ -94,9 +88,6 @@ class Enhancement:
 
     def is_even_valued(self) -> bool:
         return all(v % 2 == 0 for v in self._values.values())
-
-    def evaluate(self, x: int) -> int:
-        return evaluate(self, x)
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -134,24 +125,6 @@ def evaluate(q: Enhancement, x: int) -> int:
         total += 2 * (form.rows[i] & x & (low - 1)).bit_count()
         rest ^= low
     return total % 4
-
-
-def enumerate_enhancements(form: IntersectionForm) -> list[Enhancement]:
-    """All 2^dim enhancements of the form, in lexicographic value order.
-
-    Each basis label admits exactly the two values with the parity forced by
-    its self-pairing; the torsor over H^1 is enumerated as their product.
-    """
-    choices = []
-    for i, row in enumerate(form.rows):
-        base = row >> i & 1
-        choices.append((base, base + 2))
-    out = []
-    for combo in product(*choices):
-        out.append(
-            Enhancement(form, dict(zip(form.basis_labels, combo)))
-        )
-    return out
 
 
 def arf(q: Enhancement) -> int:

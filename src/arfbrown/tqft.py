@@ -2,12 +2,13 @@
 
 A theory is an integer power of the Arf-Brown generator (mod 8, by Morita
 periodicity of Clifford algebras) together with a nonzero Euler weight.
-Points receive Clifford algebras, circles receive super lines, and closed
-surfaces receive the Arf-Brown root of unity raised to the theory's power
-times euler_weight^chi.  A pin- surface is given by its quadratic
-enhancement (Kirby-Taylor): the form's dimension is b1 = 2 - chi.
-Stacking multiplies theories componentwise: powers add mod 8, weights
-multiply.
+Each value is plain: a point gets the Clifford algebra Cl(ab_power, 0) as
+its `Signature`, a circle gets the parity of its super line, "even" or
+"odd", and closed surfaces get the Arf-Brown root of unity raised to the
+theory's power times euler_weight^chi, a `PartitionValue`.  A pin- surface
+is given by its quadratic enhancement (Kirby-Taylor): the form's dimension
+is b1 = 2 - chi.  `consistency_report` returns its checks as a tuple of
+`CheckResult`s.
 """
 
 from __future__ import annotations
@@ -24,23 +25,19 @@ from .surface import orientable_scheme, surface_form
 
 __all__ = [
     "TheoryClass",
-    "SuperalgebraValue",
-    "SuperLineValue",
     "PartitionValue",
     "CheckResult",
-    "ConsistencyReport",
     "evaluate_point",
     "evaluate_circle",
     "expected_ground",
     "partition_function",
-    "stack",
     "is_stable",
     "consistency_report",
 ]
 
 
 class TheoryClass:
-    """A stackable theory: Arf-Brown power mod 8 and a nonzero Euler weight."""
+    """A theory of the family: Arf-Brown power mod 8 and a nonzero Euler weight."""
 
     __slots__ = ("_ab_power", "_euler_weight")
 
@@ -77,18 +74,6 @@ class TheoryClass:
         return f"TheoryClass(ab_power={self._ab_power}, euler_weight={self._euler_weight!r})"
 
 
-class SuperalgebraValue(NamedTuple):
-    """The value on a point: a Clifford algebra, named by its signature."""
-
-    signature: Signature
-
-
-class SuperLineValue(NamedTuple):
-    """The value on a circle: a line of definite parity."""
-
-    parity: str
-
-
 class PartitionValue(NamedTuple):
     """The value on closed surfaces: zeta8^exponent, with exponent an int
     in 0..7, times the Euler weight raised to the total Euler
@@ -106,17 +91,17 @@ class PartitionValue(NamedTuple):
         )
 
 
-def evaluate_point(t: TheoryClass) -> SuperalgebraValue:
+def evaluate_point(t: TheoryClass) -> Signature:
     """The point's superalgebra: ab_power generators, all squaring to +1."""
-    return SuperalgebraValue(Signature.cl(t.ab_power))
+    return Signature.cl(t.ab_power)
 
 
-def evaluate_circle(t: TheoryClass, c: CircleClass) -> SuperLineValue:
-    """Bounding circles get an even line; nonbounding ones a line whose
-    parity is the parity of ab_power."""
+def evaluate_circle(t: TheoryClass, c: CircleClass) -> str:
+    """The parity of the circle's line: even on a bounding circle, and the
+    parity of ab_power on a nonbounding one."""
     if c is CircleClass.BOUNDING:
-        return SuperLineValue("even")
-    return SuperLineValue("odd" if t.ab_power % 2 else "even")
+        return "even"
+    return "odd" if t.ab_power % 2 else "even"
 
 
 def expected_ground(c: CircleClass | None) -> tuple[int, str]:
@@ -124,7 +109,7 @@ def expected_ground(c: CircleClass | None) -> tuple[int, str]:
     theory's line on a circle of class c, 2 and "mixed" on an interval (None)."""
     if c is None:
         return 2, "mixed"
-    return 1, evaluate_circle(TheoryClass(1), c).parity
+    return 1, evaluate_circle(TheoryClass(1), c)
 
 
 def partition_function(
@@ -143,13 +128,6 @@ def partition_function(
     )
 
 
-def stack(t1: TheoryClass, t2: TheoryClass) -> TheoryClass:
-    """Componentwise product: powers add mod 8, Euler weights multiply."""
-    return TheoryClass(
-        t1.ab_power + t2.ab_power, t1.euler_weight * t2.euler_weight
-    )
-
-
 def is_stable(t: TheoryClass) -> bool:
     """Euler weight +1 or -1; other weights scale with the triangulation."""
     return t.euler_weight == 1 or t.euler_weight == -1
@@ -159,14 +137,6 @@ class CheckResult(NamedTuple):
     name: str
     passed: bool
     detail: str
-
-
-class ConsistencyReport(NamedTuple):
-    checks: tuple[CheckResult, ...]
-
-    @property
-    def all_passed(self) -> bool:
-        return all(c.passed for c in self.checks)
 
 
 def _check_circle_parities(max_edges: int = 6) -> CheckResult:
@@ -222,12 +192,6 @@ def _check_spin_exponents(samples: int = 50) -> CheckResult:
     )
 
 
-def consistency_report() -> ConsistencyReport:
+def consistency_report() -> tuple[CheckResult, ...]:
     """Cross-module checks; failures are reported in the result, not raised."""
-    return ConsistencyReport(
-        checks=(
-            _check_circle_parities(),
-            _check_torus_value(),
-            _check_spin_exponents(),
-        )
-    )
+    return (_check_circle_parities(), _check_torus_value(), _check_spin_exponents())

@@ -7,14 +7,9 @@ from arfbrown.clifford import SuperMatrix
 
 def int_matrix(m: SuperMatrix) -> np.ndarray:
     """The entries of m as an int64 array; each must be a rational integer."""
-    size = m.dim_even + m.dim_odd
-    out = np.zeros((size, size), dtype=np.int64)
-    for i in range(size):
-        for j in range(size):
-            z = m.entry(i, j)
-            assert z.im == 0 and z.re.denominator == 1
-            out[i, j] = int(z.re)
-    return out
+    rows = m.rows()
+    assert all(z.im == 0 and z.re.denominator == 1 for row in rows for z in row)
+    return np.array([[int(z.re) for z in row] for row in rows], dtype=np.int64)
 
 
 def assert_clifford_relations(mats, signs):

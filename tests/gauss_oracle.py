@@ -1,13 +1,35 @@
 """The enumerating Gauss sum: the oracle for the orthogonal splitting.
 
 It tabulates q on all 2^dim classes of H_1, so it is exponential in the
-form's dimension and lives here, not in the package.  Sums are Z[zeta8]
-coefficient 4-tuples; ``zeta_sqrt2_power`` builds zeta8^k * sqrt(2)^dim one
-factor at a time, the reference for the package's closed form.
+form's dimension and lives here, not in the package, as does
+``enumerate_enhancements``, which lists all 2^dim enhancements of a form.
+Sums are Z[zeta8] coefficient 4-tuples; ``zeta_sqrt2_power`` builds
+zeta8^k * sqrt(2)^dim one factor at a time, the reference for the
+package's closed form.
 """
+
+from itertools import product
 
 from arfbrown.quadform import Enhancement, NotRootOfUnity
 from arfbrown.surface import IntersectionForm
+
+
+def enumerate_enhancements(form: IntersectionForm) -> list[Enhancement]:
+    """All 2^dim enhancements of the form, in lexicographic value order.
+
+    Each basis label admits exactly the two values with the parity forced by
+    its self-pairing; the torsor over H^1 is enumerated as their product.
+    """
+    choices = []
+    for i, row in enumerate(form.rows):
+        base = row >> i & 1
+        choices.append((base, base + 2))
+    out = []
+    for combo in product(*choices):
+        out.append(
+            Enhancement(form, dict(zip(form.basis_labels, combo)))
+        )
+    return out
 
 
 def q_table(q: Enhancement) -> list[int]:

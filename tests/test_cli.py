@@ -2,6 +2,7 @@
 
 import argparse
 import contextlib
+import errno
 import io
 import json
 import os
@@ -330,6 +331,30 @@ def test_one_analyze_per_surface_per_request(tmp_path, capsys, monkeypatch, argv
     )
 
 
+def test_tqft_human_text_is_pinned(tmp_path, capsys):
+    path = _write(
+        tmp_path,
+        "all.surf",
+        "surface T: a b a' b'\n"
+        "enhance T: a=2 b=2\n"
+        "surface P: a a\n"
+        "enhance P: a=1\n"
+        "circle c: 0 0\n"
+        "circle b: 1 0\n"
+        "point pt\n",
+    )
+    assert main(["tqft", "ab=3 euler=1/2+i", path]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "theory: ab_power 3, euler weight 1/2+i (unstable)",
+        "circle c: nonbounding, odd line",
+        "circle b: bounding, even line",
+        "point pt: Clifford algebra on 3 generator(s)",
+        "surface T: ζ₈^4 = -1, euler factor 1",
+        "surface P: ζ₈^3 = (-1+i)/√2, euler factor 1/2+i",
+        "total over 2 surface(s): ζ₈^7 = (1-i)/√2, euler factor 1/2+i",
+    ]
+
+
 def test_tqft_sphere_euler_example(tmp_path, capsys):
     path = _write(tmp_path, "s.surf", "surface S: a a'\nenhance S:\n")
     assert main(["tqft", "--format", "structured", "ab=0 euler=2", path]) == 0
@@ -497,6 +522,16 @@ def test_selftest_passes(capsys):
     assert "all checks passed" in out
 
 
+def test_selftest_human_text_is_pinned(capsys):
+    assert main(["selftest"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "check circle ground parity: pass (126 circle structures agree)",
+        "check torus framing value: pass (exponent 4 (want 4, the value -1))",
+        "check spin exponents: pass (50 even enhancements in {0, 4})",
+        "all checks passed",
+    ]
+
+
 def test_selftest_human_text_goes_to_the_emitter_stream(capsys):
     stream = io.StringIO()
     assert cmd_selftest(Emitter("human", stream)) == 0
@@ -630,9 +665,7 @@ def _cli_process(*argv: str, **kwargs) -> subprocess.Popen:
     return subprocess.Popen(
         [sys.executable, "-m", "arfbrown.cli", *argv],
         env={**os.environ, "PYTHONPATH": src},
-        stdout=subprocess.PIPE,
-        stderr=subprocess.PIPE,
-        **kwargs,
+        **{"stdout": subprocess.PIPE, "stderr": subprocess.PIPE, **kwargs},
     )
 
 
@@ -658,6 +691,34 @@ def test_closed_stdout_exits_141_without_a_traceback(tmp_path):
     proc.stderr.close()
     assert proc.wait(timeout=60) == 141
     assert "Traceback" not in err and "Exception ignored" not in err, err
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_failed_stdout_write_exits_74_without_a_traceback(tmp_path):
+    path = _write(tmp_path, "t.surf", "surface T: a b a' b'\n")
+    with open("/dev/full", "wb") as full:
+        proc = _cli_process("surface", path, stdout=full)
+        _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 74
+    lines = err.decode().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: cannot write output: ")
+    assert "Traceback" not in err.decode()
+
+
+def test_failed_write_to_a_stream_without_a_descriptor_exits_74(
+    tmp_path, capsys, monkeypatch
+):
+    # capsys's stdout has no file descriptor, so there is nothing to redirect
+    path = _write(tmp_path, "t.surf", "surface T: a b a' b'\n")
+
+    def full(self, record, human):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(Emitter, "emit", full)
+    assert main(["surface", path]) == 74
+    assert capsys.readouterr().err == (
+        f"error: cannot write output: {os.strerror(errno.ENOSPC)}\n"
+    )
 
 
 def test_a_process_without_stdout_still_exits_0(tmp_path, monkeypatch):

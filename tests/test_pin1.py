@@ -28,7 +28,7 @@ def test_edge_bits_are_integers_not_truncated_floats():
 def test_vertex_counts():
     assert Circle((0, 1, 0)).vertex_count == 3
     assert Interval((0, 1, 0)).vertex_count == 4
-    assert Circle((1,)).edge_count == 1
+    assert Circle((1,)).vertex_count == 1
 
 
 def test_circle_and_interval_with_equal_bits_differ():

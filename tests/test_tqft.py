@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from arfbrown.clifford import GaussianRational
+from arfbrown.clifford import GaussianRational, Signature
 from arfbrown.pin1 import Circle, CircleClass, classify_circle
 from arfbrown.quadform import Enhancement, arf, arf_brown
 from arfbrown.surface import (
@@ -26,7 +26,6 @@ from arfbrown.tqft import (
     expected_ground,
     is_stable,
     partition_function,
-    stack,
     surface_form,
 )
 from surface_oracle import random_scheme
@@ -56,9 +55,7 @@ def test_expected_ground_of_circles_and_intervals():
 
 def test_point_value_counts_generators():
     for k in range(8):
-        sig = evaluate_point(TheoryClass(k)).signature
-        assert len(sig.labels) == k
-        assert all(sig.sign(l) == 1 for l in sig.labels)
+        assert evaluate_point(TheoryClass(k)) == Signature.cl(k, 0)
 
 
 def test_circle_values():
@@ -67,8 +64,8 @@ def test_circle_values():
     assert bounding is CircleClass.BOUNDING
     for k in range(8):
         t = TheoryClass(k)
-        assert evaluate_circle(t, bounding).parity == "even"
-        assert evaluate_circle(t, nonbounding).parity == (
+        assert evaluate_circle(t, bounding) == "even"
+        assert evaluate_circle(t, nonbounding) == (
             "odd" if k % 2 else "even"
         )
 
@@ -151,35 +148,14 @@ def test_partition_function_on_random_words(rng, ab, weight):
     assert value.euler_factor == weight ** sum(analyze(s).euler_char for s in schemes)
 
 
-def test_stack_laws():
-    rng = random.Random(101)
-    weights = [
-        GaussianRational(1),
-        GaussianRational(-1),
-        GaussianRational(2),
-        GaussianRational(0, 1),
-        GaussianRational(Fraction(1, 2), Fraction(3, 4)),
-    ]
-    identity = TheoryClass(0, 1)
-    for _ in range(100):
-        t1 = TheoryClass(rng.randrange(8), rng.choice(weights))
-        t2 = TheoryClass(rng.randrange(8), rng.choice(weights))
-        t3 = TheoryClass(rng.randrange(8), rng.choice(weights))
-        assert stack(t1, t2) == stack(t2, t1)
-        assert stack(stack(t1, t2), t3) == stack(t1, stack(t2, t3))
-        assert stack(t1, identity) == t1
-        s = stack(t1, t2)
-        assert s.ab_power == (t1.ab_power + t2.ab_power) % 8
-        assert s.euler_weight == t1.euler_weight * t2.euler_weight
-
-
 def test_stacking_multiplies_partition_values():
     q = _enhanced("a a b b", {"a": 1, "b": 3})
-    t1 = TheoryClass(2, GaussianRational(2))
-    t2 = TheoryClass(5, GaussianRational(0, 1))
-    v1 = partition_function(t1, [q])
-    v2 = partition_function(t2, [q])
-    v = partition_function(stack(t1, t2), [q])
+    a1, w1 = 2, GaussianRational(2)
+    a2, w2 = 5, GaussianRational(0, 1)
+    v1 = partition_function(TheoryClass(a1, w1), [q])
+    v2 = partition_function(TheoryClass(a2, w2), [q])
+    # the stacked theory: powers add mod 8, Euler weights multiply
+    v = partition_function(TheoryClass(a1 + a2, w1 * w2), [q])
     assert v.exponent == (v1.exponent + v2.exponent) % 8
     assert v.euler_factor == v1.euler_factor * v2.euler_factor
 
@@ -192,14 +168,14 @@ def test_stability_is_unit_euler_weight():
 
 
 def test_consistency_report_passes():
-    report = consistency_report()
-    assert report.all_passed
-    assert [c.name for c in report.checks] == [
+    checks = consistency_report()
+    assert all(c.passed for c in checks)
+    assert [c.name for c in checks] == [
         "circle ground parity",
         "torus framing value",
         "spin exponents",
     ]
-    assert all(c.detail for c in report.checks)
+    assert all(c.detail for c in checks)
 
 
 def test_spin_surface_exponents_match_arf():
