@@ -17,14 +17,9 @@ def cmd_majorana(paths: Sequence[str], cap_n: int, emitter: Emitter) -> int:
     for stmt in parse_files(paths):
         if not isinstance(stmt, ComponentStmt):
             continue
-        if stmt.kind == "circle":
-            setup = majorana.ChainSetup.circle(stmt.bits, stmt.orientation)
-            cls = pin1.classify_circle(setup.component)
-        else:
-            setup = majorana.ChainSetup.interval(stmt.bits, stmt.orientation)
-            cls = None
-        circle_class = None if cls is None else cls.value
-        want_dim, want_parity = tqft.expected_ground(cls)
+        setup = pin1.ChainSetup(stmt.bits, stmt.kind == "circle", stmt.orientation)
+        circle_class = pin1.classify_circle(setup) if setup.is_circle else None
+        want_dim, want_parity = tqft.expected_ground(circle_class)
         check_cap("vertex count", setup.vertex_count, cap_n, "--cap-n")
         report = majorana.ground_states(setup)
         got = report.ground_dimension, report.ground_parity

@@ -68,16 +68,16 @@ def cmd_tqft(
                     "tqft evaluates closed manifolds; remove interval"
                     f" {stmt.name!r}"
                 )
-            cls = pin1.classify_circle(pin1.Circle(stmt.bits))
+            cls = pin1.classify_circle(pin1.ChainSetup.circle(stmt.bits))
             parity = tqft.evaluate_circle(theory, cls)
             emitter.emit(
                 {
                     "record": "circle",
                     "name": stmt.name,
-                    "class": cls.value,
+                    "class": cls,
                     "parity": parity,
                 },
-                lambda: [f"circle {stmt.name}: {cls.value}, {parity} line"],
+                lambda: [f"circle {stmt.name}: {cls}, {parity} line"],
             )
     for surf, q, values in enhanced:
         check_cap("form dimension", q.dim, cap_dim, "--cap-dim")

@@ -1,9 +1,11 @@
 """The time-reversal-invariant Majorana chain, exactly.
 
-The state space on n vertices is spanned by the subsets of the vertex
-set (dimension 2^n, graded by subset size mod 2).  c_v and d_v are the +1
-and -1 generators of the v-th C^{1|1} factor, numbered 2v and 2v+1 in the
-words of `clifford.evaluate_on_empty`.  The Hamiltonian is
+Each function takes a decorated circle or interval, a `pin1.ChainSetup`,
+whose edges give the tail, head and bit of every term.  The state space on
+n vertices is spanned by the subsets of the vertex set (dimension 2^n,
+graded by subset size mod 2).  c_v and d_v are the +1 and -1 generators
+of the v-th C^{1|1} factor, numbered 2v and 2v+1 in the words of
+`clifford.evaluate_on_empty`.  The Hamiltonian is
 
     H = 1/2 sum over edges of T_e,    T_e = (-1)^{t(e)} c_head d_tail
 
@@ -23,18 +25,17 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import prod
-from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .clifford import evaluate_on_empty
 from .errors import CertificateError, HasBoundary
 from .exactla import rational_nullity
-from .pin1 import Circle, Interval
+from .pin1 import ChainSetup  # also bound here, for perfbench/worker.py
 
 if TYPE_CHECKING:
     import numpy as np
 
 __all__ = [
-    "ChainSetup",
     "GroundStateReport",
     "ReferenceModule",
     "IntervalReport",
@@ -45,70 +46,6 @@ __all__ = [
     "reference_module",
     "interval_bimodule_check",
 ]
-
-
-class ChainSetup:
-    """A circle or interval with edge bits and an orientation.
-
-    Vertices are numbered 0..n-1.  With orientation +1 edge i runs from
-    vertex i (tail) to vertex i+1 (head), indices mod n on a circle;
-    orientation -1 swaps every tail and head.
-    """
-
-    __slots__ = ("_component", "_orientation")
-
-    def __init__(self, component: Circle | Interval, orientation: int = 1):
-        if not isinstance(component, (Circle, Interval)):
-            raise TypeError("component must be a Circle or an Interval")
-        if orientation not in (1, -1):
-            raise ValueError("orientation must be +1 or -1")
-        self._component = component
-        self._orientation = orientation
-
-    @classmethod
-    def circle(cls, edge_bits: Iterable[int], orientation: int = 1) -> ChainSetup:
-        return cls(Circle(edge_bits), orientation)
-
-    @classmethod
-    def interval(cls, edge_bits: Iterable[int], orientation: int = 1) -> ChainSetup:
-        return cls(Interval(edge_bits), orientation)
-
-    @property
-    def component(self) -> Circle | Interval:
-        return self._component
-
-    @property
-    def is_circle(self) -> bool:
-        return isinstance(self._component, Circle)
-
-    @property
-    def vertex_count(self) -> int:
-        return self._component.vertex_count
-
-    @property
-    def edges(self) -> tuple[tuple[int, int, int], ...]:
-        """(tail, head, bit) per edge, in edge order."""
-        n, flip = self.vertex_count, self._orientation == -1
-        return tuple(
-            ((i + 1) % n, i, bit) if flip else (i, (i + 1) % n, bit)
-            for i, bit in enumerate(self._component.edge_bits)
-        )
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, ChainSetup)
-            and self._component == other._component
-            and self._orientation == other._orientation
-        )
-
-    def __hash__(self) -> int:
-        return hash((self._component, self._orientation))
-
-    def __repr__(self) -> str:
-        kind = "circle" if self.is_circle else "interval"
-        sign = "+" if self._orientation == 1 else "-"
-        bits = list(self._component.edge_bits)
-        return f"ChainSetup({kind} {bits}, orientation {sign})"
 
 
 def _edge_terms(setup: ChainSetup) -> list[tuple[int, list[int]]]:

@@ -4,8 +4,9 @@ A theory is an integer power of the Arf-Brown generator (mod 8, by Morita
 periodicity of Clifford algebras) together with a nonzero Euler weight.
 Each value is plain: a point gets the Clifford algebra Cl(ab_power, 0) as
 its `Signature`, a circle gets the parity of its super line, "even" or
-"odd", and closed surfaces get the Arf-Brown root of unity raised to the
-theory's power times euler_weight^chi, a `PartitionValue`.  A pin- surface
+"odd", from its class "bounding" or "nonbounding" (`pin1.classify_circle`),
+and closed surfaces get the Arf-Brown root of unity raised to the theory's
+power times euler_weight^chi, a `PartitionValue`.  A pin- surface
 is given by its quadratic enhancement (Kirby-Taylor): the form's dimension
 is b1 = 2 - chi.  `consistency_report` returns its checks as a tuple of
 `CheckResult`s.
@@ -19,7 +20,7 @@ from fractions import Fraction
 from typing import Iterable, NamedTuple
 
 from .clifford import GaussianRational, Signature
-from .pin1 import Circle, CircleClass, classify_circle
+from .pin1 import ChainSetup, classify_circle
 from .quadform import Enhancement, arf, arf_brown
 from .surface import orientable_scheme, surface_form
 
@@ -96,15 +97,15 @@ def evaluate_point(t: TheoryClass) -> Signature:
     return Signature.cl(t.ab_power)
 
 
-def evaluate_circle(t: TheoryClass, c: CircleClass) -> str:
-    """The parity of the circle's line: even on a bounding circle, and the
-    parity of ab_power on a nonbounding one."""
-    if c is CircleClass.BOUNDING:
+def evaluate_circle(t: TheoryClass, c: str) -> str:
+    """The parity of the line on a circle of class c: even on a "bounding"
+    circle, and the parity of ab_power on a "nonbounding" one."""
+    if c == "bounding":
         return "even"
     return "odd" if t.ab_power % 2 else "even"
 
 
-def expected_ground(c: CircleClass | None) -> tuple[int, str]:
+def expected_ground(c: str | None) -> tuple[int, str]:
     """(dimension, parity) of a Majorana chain's ground space: 1 and the generator
     theory's line on a circle of class c, 2 and "mixed" on an interval (None)."""
     if c is None:
@@ -141,14 +142,15 @@ class CheckResult(NamedTuple):
 
 def _check_circle_parities(max_edges: int = 6) -> CheckResult:
     """Majorana ground parity must match the circle's line parity at power 1."""
-    from .majorana import ChainSetup, ground_states  # the chain runs only here
+    from .majorana import ground_states  # the chain runs only here
 
     tried = 0
     for n in range(1, max_edges + 1):
         for pattern in range(1 << n):
             bits = [(pattern >> i) & 1 for i in range(n)]
-            dim, parity = expected_ground(classify_circle(Circle(bits)))
-            report = ground_states(ChainSetup.circle(bits))
+            setup = ChainSetup.circle(bits)
+            dim, parity = expected_ground(classify_circle(setup))
+            report = ground_states(setup)
             tried += 1
             if report.ground_dimension != dim:
                 detail = f"ground dimension {report.ground_dimension}"

@@ -12,13 +12,13 @@ from itertools import product
 from arfbrown.clifford import Signature, irreducible_supermodule
 from arfbrown.f2 import rank
 from arfbrown.majorana import (
-    ChainSetup,
     epsilon_operator,
     ground_states,
     interval_bimodule_check,
     majorana_operators,
     reference_module,
 )
+from arfbrown.pin1 import ChainSetup
 from arfbrown.quadform import (
     Enhancement,
     arf,

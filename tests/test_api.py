@@ -229,3 +229,21 @@ def test_star_import_binds_every_exported_name():
 def test_unknown_name_is_an_attribute_error_naming_the_package():
     with pytest.raises(AttributeError, match="module 'arfbrown' has no attribute 'nope'"):
         arfbrown.nope
+
+
+def test_the_benchmark_worker_reaches_its_library_names():
+    # perfbench/worker.py builds chains as majorana.ChainSetup.<kind>(bits,
+    # orientation) and calls the operations below by name; the tracer reads
+    # vertex_count of the setup that ground_states gets
+    clifford, majorana, pin1 = (MODULES[m] for m in ("clifford", "majorana", "pin1"))
+    assert majorana.ChainSetup is pin1.ChainSetup
+    assert len(clifford.irreducible_supermodule(clifford.Signature.cl(1, 1))) == 2
+    for op, kind in [
+        ("ground_states", "circle"),
+        ("interval_bimodule_check", "interval"),
+        ("epsilon_operator", "circle"),
+        ("reference_module", "circle"),
+    ]:
+        setup = getattr(majorana.ChainSetup, kind)([1, 0], -1)
+        assert setup.vertex_count == (2 if kind == "circle" else 3)
+        getattr(majorana, op)(setup)

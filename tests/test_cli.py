@@ -20,7 +20,8 @@ from arfbrown.cli import MAX_LITERAL_EXPONENT, Emitter, build_parser, main
 from arfbrown.clifford import GaussianRational
 from arfbrown.commands.selftest import cmd_selftest
 from arfbrown.commands.tqft import parse_theory
-from arfbrown.majorana import ChainSetup, ground_states
+from arfbrown.majorana import ground_states
+from arfbrown.pin1 import ChainSetup
 
 
 def _write(tmp_path, name, text):

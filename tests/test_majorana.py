@@ -16,7 +16,6 @@ from arfbrown.cli import main
 from arfbrown.clifford import Signature, evaluate_on_empty, irreducible_supermodule
 from arfbrown.exactla import MOD_PRIMES, modular_nullity, solve_in_span
 from arfbrown.majorana import (
-    ChainSetup,
     doubled_hamiltonian,
     epsilon_operator,
     ground_states,
@@ -24,6 +23,7 @@ from arfbrown.majorana import (
     majorana_operators,
     reference_module,
 )
+from arfbrown.pin1 import ChainSetup
 from arfbrown.errors import HasBoundary
 
 
@@ -532,5 +532,7 @@ def test_setup_validation():
         ChainSetup.circle((0,), orientation=2)
     with pytest.raises(ValueError):
         ChainSetup.circle(())
+    with pytest.raises(ValueError):
+        ChainSetup.interval((0, 1), orientation=0)
     with pytest.raises(TypeError):
-        ChainSetup("not a component")
+        ChainSetup.circle((0, 0.5))

@@ -6,47 +6,53 @@ import numpy as np
 
 import pytest
 
-from arfbrown.majorana import ChainSetup
-from arfbrown.pin1 import Circle, CircleClass, Interval, classify_circle
+from arfbrown.errors import HasBoundary
+from arfbrown.pin1 import ChainSetup, classify_circle
 
 
 def test_component_validation():
     with pytest.raises(ValueError):
-        Circle(())
+        ChainSetup.circle(())
     with pytest.raises(ValueError):
-        Circle((0, 2))
+        ChainSetup.circle((0, 2))
     with pytest.raises(ValueError):
-        Interval(())
+        ChainSetup.interval(())
 
 
 def test_edge_bits_are_integers_not_truncated_floats():
     with pytest.raises(TypeError):
-        Circle([0.7, 1.2])
-    assert Circle([np.int64(1), True, 0]).edge_bits == (1, 1, 0)
+        ChainSetup.circle([0.7, 1.2])
+    setup = ChainSetup.circle([np.int64(1), True, 0])
+    assert setup == ChainSetup.circle((1, 1, 0))
+    assert [bit for _, _, bit in setup.edges] == [1, 1, 0]
 
 
 def test_vertex_counts():
-    assert Circle((0, 1, 0)).vertex_count == 3
-    assert Interval((0, 1, 0)).vertex_count == 4
-    assert Circle((1,)).vertex_count == 1
+    assert ChainSetup.circle((0, 1, 0)).vertex_count == 3
+    assert ChainSetup.interval((0, 1, 0)).vertex_count == 4
+    assert ChainSetup.circle((1,)).vertex_count == 1
 
 
 def test_circle_and_interval_with_equal_bits_differ():
     for bits in [(0,), (1, 0), (0, 1, 1)]:
-        assert Circle(bits) != Interval(bits)
-        assert Interval(bits) != Circle(bits)
         assert ChainSetup.circle(bits) != ChainSetup.interval(bits)
-        assert Circle(bits) == Circle(list(bits))
-        assert hash(Circle(bits)) == hash(("Circle", bits))
-        assert hash(Interval(bits)) == hash(("Interval", bits))
-        assert repr(Interval(bits)) == f"Interval({list(bits)})"
+        assert ChainSetup.interval(bits) != ChainSetup.circle(bits)
+        assert ChainSetup.circle(bits) == ChainSetup(list(bits), True)
+        assert ChainSetup.interval(bits) == ChainSetup(bits, False, 1)
+        assert hash(ChainSetup.circle(bits)) == hash(ChainSetup.circle(list(bits)))
 
 
 def test_classify_circle_by_bit_sum():
-    assert classify_circle(Circle((1,))) is CircleClass.BOUNDING
-    assert classify_circle(Circle((0,))) is CircleClass.NONBOUNDING
-    assert classify_circle(Circle((1, 1))) is CircleClass.NONBOUNDING
-    assert classify_circle(Circle((1, 0, 0))) is CircleClass.BOUNDING
+    assert classify_circle(ChainSetup.circle((1,))) == "bounding"
+    assert classify_circle(ChainSetup.circle((0,))) == "nonbounding"
+    assert classify_circle(ChainSetup.circle((1, 1))) == "nonbounding"
+    assert classify_circle(ChainSetup.circle((1, 0, 0))) == "bounding"
+
+
+def test_classify_circle_rejects_an_interval():
+    for bits in [(1,), (0,), (1, 1, 0)]:
+        with pytest.raises(HasBoundary):
+            classify_circle(ChainSetup.interval(bits))
 
 
 def test_classification_depends_only_on_bit_sum():
@@ -54,8 +60,8 @@ def test_classification_depends_only_on_bit_sum():
     for _ in range(50):
         n = rng.randint(1, 8)
         bits = [rng.randint(0, 1) for _ in range(n)]
-        c = classify_circle(Circle(bits))
+        c = classify_circle(ChainSetup.circle(bits))
         rng.shuffle(bits)
-        assert classify_circle(Circle(bits)) is c
+        assert classify_circle(ChainSetup.circle(bits, -1)) == c
         # subdividing an edge into two with a 0 bit preserves the class
-        assert classify_circle(Circle(bits + [0])) is c
+        assert classify_circle(ChainSetup.circle(bits + [0])) == c

@@ -9,7 +9,6 @@ import pytest
 from arfbrown.cli import ComponentStmt, EnhanceStmt, PointStmt, SurfaceStmt
 from arfbrown.clifford import GaussianRational
 from arfbrown.majorana import (
-    ChainSetup,
     GroundStateReport,
     IntervalReport,
     ReferenceModule,
@@ -17,6 +16,7 @@ from arfbrown.majorana import (
     interval_bimodule_check,
     reference_module,
 )
+from arfbrown.pin1 import ChainSetup
 from arfbrown.surface import GluingScheme, IntersectionForm, SurfaceInfo, analyze
 from arfbrown.tqft import (
     CheckResult,

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from arfbrown.clifford import GaussianRational, Signature
-from arfbrown.pin1 import Circle, CircleClass, classify_circle
+from arfbrown.pin1 import ChainSetup, classify_circle
 from arfbrown.quadform import Enhancement, arf, arf_brown
 from arfbrown.surface import (
     GluingScheme,
@@ -48,8 +48,8 @@ def test_ab_power_is_an_integer_not_a_truncated_float():
 
 
 def test_expected_ground_of_circles_and_intervals():
-    assert expected_ground(CircleClass.BOUNDING) == (1, "even")
-    assert expected_ground(CircleClass.NONBOUNDING) == (1, "odd")
+    assert expected_ground("bounding") == (1, "even")
+    assert expected_ground("nonbounding") == (1, "odd")
     assert expected_ground(None) == (2, "mixed")
 
 
@@ -59,9 +59,9 @@ def test_point_value_counts_generators():
 
 
 def test_circle_values():
-    bounding = classify_circle(Circle((1,)))
-    nonbounding = classify_circle(Circle((0,)))
-    assert bounding is CircleClass.BOUNDING
+    bounding = classify_circle(ChainSetup.circle((1,)))
+    nonbounding = classify_circle(ChainSetup.circle((0,)))
+    assert (bounding, nonbounding) == ("bounding", "nonbounding")
     for k in range(8):
         t = TheoryClass(k)
         assert evaluate_circle(t, bounding) == "even"

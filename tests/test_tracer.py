@@ -9,7 +9,7 @@ import arfbrown
 from arfbrown import (  # noqa: F401  (every module the tracer patches)
     cli, clifford, exactla, f2, majorana, pin1, quadform, surface, tqft,
 )
-from arfbrown.majorana import ChainSetup
+from arfbrown.pin1 import ChainSetup
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
