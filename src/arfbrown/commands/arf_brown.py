@@ -20,8 +20,10 @@ def cmd_arf_brown(
 ) -> int:
     from ..quadform import arf, arf_brown, gauss_sum_of_root
 
-    for surf, q, values in attach_enhancements(parse_files(paths), inline_specs):
+    enhanced = attach_enhancements(parse_files(paths), inline_specs)
+    for _, q, _ in enhanced:
         check_cap("form dimension", q.dim, cap_dim, "--cap-dim")
+    for surf, q, values in enhanced:
         exponent = arf_brown(q)
         total = gauss_sum_of_root(exponent, q.dim)
         arf_value = arf(q) if q.is_even_valued() else None

@@ -14,13 +14,16 @@ __all__ = ["cmd_majorana"]
 def cmd_majorana(paths: Sequence[str], cap_n: int, emitter: Emitter) -> int:
     from .. import majorana, pin1, tqft
 
-    for stmt in parse_files(paths):
-        if not isinstance(stmt, ComponentStmt):
-            continue
-        setup = pin1.ChainSetup(stmt.bits, stmt.kind == "circle", stmt.orientation)
+    chains = [
+        (stmt, pin1.ChainSetup(stmt.bits, stmt.kind == "circle", stmt.orientation))
+        for stmt in parse_files(paths)
+        if isinstance(stmt, ComponentStmt)
+    ]
+    for _, setup in chains:
+        check_cap("vertex count", setup.vertex_count, cap_n, "--cap-n")
+    for stmt, setup in chains:
         circle_class = pin1.classify_circle(setup) if setup.is_circle else None
         want_dim, want_parity = tqft.expected_ground(circle_class)
-        check_cap("vertex count", setup.vertex_count, cap_n, "--cap-n")
         report = majorana.ground_states(setup)
         got = report.ground_dimension, report.ground_parity
         verdict = "ok" if got == (want_dim, want_parity) else "mismatch"

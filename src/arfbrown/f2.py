@@ -1,4 +1,4 @@
-"""Exact linear algebra over the two-element field.
+"""Exact linear algebra over the two-element field: ranks and symplectic bases.
 
 Vectors are int masks, bit i the i-th coordinate, and matrices are sequences
 of row masks; all semantics are componentwise XOR and dot products mod 2,
@@ -11,7 +11,6 @@ from __future__ import annotations
 from typing import Sequence
 
 __all__ = [
-    "json_rows",
     "rank",
     "symplectic_basis",
     "NotAlternating",
@@ -30,22 +29,6 @@ class Degenerate(ValueError):
 
 class OddDimension(ValueError):
     """A symplectic basis needs an even-dimensional space."""
-
-
-def json_rows(masks: Sequence[int], n: int) -> str:
-    """The rows as compact JSON text of 0/1 lists, bit 0 first: the text of
-    ``json.dumps(rows, separators=(",", ":"))``.  Only bits below n count."""
-    if not n or not masks:
-        return "[" + ",".join(["[]"] * len(masks)) + "]"
-    # each row takes 2n + 2 bytes, "[d,d,...,d],", whose odd offsets hold
-    # its n digits and the closing comma, so one slice assignment writes
-    # every row; a numeral's last n digits read backwards are bits 0 to
-    # n - 1, and the bit at n keeps the leading zeros
-    text = bytearray(b"[" + b"0," * (n - 1) + b"0],") * len(masks)
-    top = 1 << n
-    text[1::2] = (",".join([bin(m | top)[:~n:-1] for m in masks]) + ",").encode()
-    text[-1] = ord("]")
-    return "[" + text.decode()
 
 
 def rank(rows: Sequence[int]) -> int:
@@ -68,7 +51,9 @@ def symplectic_basis(rows: Sequence[int]) -> list[tuple[int, int]]:
     The form must be square and symmetric, alternating (zero diagonal),
     nondegenerate, and of even dimension.  Computed by the standard
     alternating-form Gram-Schmidt over GF(2); vectors are returned as masks
-    in the coordinates of the original basis.
+    in the coordinates of the original basis.  Each vector is held with its
+    Gram row image, as in ``quadform.arf_brown``, so a pairing is one AND and
+    a parity; a vector left without a partner is in the radical (Degenerate).
     """
     n = len(rows)
     if any(r < 0 or r >> n for r in rows) or any(
@@ -80,32 +65,24 @@ def symplectic_basis(rows: Sequence[int]) -> list[tuple[int, int]]:
             raise NotAlternating(f"diagonal entry {i} is 1")
     if n % 2:
         raise OddDimension(f"dimension {n} is odd")
-    if rank(rows) < n:
-        raise Degenerate("gram matrix is singular")
-
-    def pairing(u: int, v: int) -> int:
-        # u^T G is the sum of the rows on the support of u, so the cost
-        # follows the weight of u, not the dimension
-        image = 0
-        while u:
-            low = u & -u
-            image ^= rows[low.bit_length() - 1]
-            u ^= low
-        return (image & v).bit_count() & 1
-
-    remaining = [1 << i for i in range(n)]
+    remaining = [(1 << i, r) for i, r in enumerate(rows)]
     pairs: list[tuple[int, int]] = []
     while remaining:
-        e = remaining.pop(0)
+        e, re = remaining.pop(0)
         partner = next(
-            (i for i, v in enumerate(remaining) if pairing(e, v) == 1), None
+            (i for i, (v, _) in enumerate(remaining) if (re & v).bit_count() & 1), None
         )
         if partner is None:
             raise Degenerate("no symplectic partner; form is degenerate")
-        f = remaining.pop(partner)
+        f, rf = remaining.pop(partner)
         pairs.append((e, f))
-        remaining = [
-            v ^ (e if pairing(v, f) else 0) ^ (f if pairing(v, e) else 0)
-            for v in remaining
-        ]
+        rest = []
+        for v, r in remaining:
+            # B(v, e) is unchanged by adding e, since B(e, e) = 0
+            if (r & f).bit_count() & 1:
+                v, r = v ^ e, r ^ re
+            if (r & e).bit_count() & 1:
+                v, r = v ^ f, r ^ rf
+            rest.append((v, r))
+        remaining = rest
     return pairs

@@ -195,7 +195,7 @@ with tempfile.TemporaryDirectory() as tmp:
     [
         (
             ["surface", "FILE"],
-            ["quadform", "tqft", "majorana", "clifford", "pin1", "exactla"],
+            ["f2", "quadform", "tqft", "majorana", "clifford", "pin1", "exactla"],
             ["surface"],
         ),
         (

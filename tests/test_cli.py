@@ -177,6 +177,19 @@ def test_arf_brown_cap_dim(tmp_path, capsys):
     assert main(["arf-brown", "--cap-dim", "25", path]) == 0
 
 
+@pytest.mark.parametrize("fmt", ["human", "structured"])
+def test_arf_brown_checks_every_cap_before_its_first_record(tmp_path, capsys, fmt):
+    path = _write(
+        tmp_path, "two.surf",
+        "surface P: a a\nenhance P: a=1\n"
+        "surface N: a a b b c c\nenhance N: a=1 b=1 c=1\n",
+    )
+    assert main(["arf-brown", "--cap-dim", "2", "--format", fmt, path]) == 4
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: form dimension 3 exceeds the cap of 2 (--cap-dim)\n"
+
+
 def test_arf_brown_large_dimension(tmp_path, capsys):
     # 300 crosscaps with q = 1 each: exponent 300 mod 8 = 4
     crosscaps = [f"x{i}" for i in range(300)]
@@ -242,6 +255,15 @@ def test_majorana_interval_with_orientation(tmp_path, capsys):
 def test_majorana_cap_is_exit_4(tmp_path, capsys):
     path = _write(tmp_path, "c.surf", "circle c: 0 0 0 0\n")
     assert main(["majorana", "--cap-n", "3", path]) == 4
+
+
+@pytest.mark.parametrize("fmt", ["human", "structured"])
+def test_majorana_checks_every_cap_before_its_first_record(tmp_path, capsys, fmt):
+    path = _write(tmp_path, "two.surf", "circle c: 1 0\ninterval j: 0 0 0\n")
+    assert main(["majorana", "--cap-n", "3", "--format", fmt, path]) == 4
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: vertex count 4 exceeds the cap of 3 (--cap-n)\n"
 
 
 def test_vertex_cap(tmp_path, capsys):

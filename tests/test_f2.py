@@ -7,14 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from arfbrown.commands.surface import json_rows
 from arfbrown.f2 import (
     Degenerate,
     NotAlternating,
     OddDimension,
-    json_rows,
     rank,
     symplectic_basis,
 )
+from arfbrown.surface import intersection_form, orientable_scheme
+from f2_oracle import oracle_symplectic_basis, outcome
 
 
 def _shifted(mask: int, n: int) -> tuple[int, ...]:
@@ -130,8 +132,10 @@ def test_symplectic_basis_rejects_nonalternating():
 
 
 def test_symplectic_basis_rejects_degenerate():
-    with pytest.raises(Degenerate):
-        symplectic_basis([0b00, 0b00])
+    # the second form pairs e0 with e1 before the loop reaches its radical
+    for rows in ([0b00, 0b00], [0b0010, 0b0001, 0b0000, 0b0000]):
+        with pytest.raises(Degenerate):
+            symplectic_basis(rows)
 
 
 def test_symplectic_basis_rejects_odd_dimension():
@@ -152,3 +156,52 @@ def test_symplectic_basis_rejects_rows_that_are_not_square_and_symmetric():
 
 def test_empty_symplectic_basis():
     assert symplectic_basis([]) == []
+
+
+def _alternating(rng, n):
+    rows = [0] * n
+    for i in range(n):
+        for j in range(i):
+            if rng.getrandbits(1):
+                rows[i] |= 1 << j
+                rows[j] |= 1 << i
+    return rows
+
+
+def _assert_as_oracle(rows):
+    want = outcome(oracle_symplectic_basis, rows)
+    assert outcome(symplectic_basis, rows) == want, rows
+    return want
+
+
+def test_symplectic_basis_is_the_oracle_on_every_alternating_form_to_6():
+    for n in range(7):
+        slots = [(i, j) for i in range(n) for j in range(i)]
+        for bits in range(1 << len(slots)):
+            rows = [0] * n
+            for k, (i, j) in enumerate(slots):
+                if bits >> k & 1:
+                    rows[i] |= 1 << j
+                    rows[j] |= 1 << i
+            _assert_as_oracle(rows)
+
+
+def test_symplectic_basis_is_the_oracle_on_random_forms_to_40():
+    rng = random.Random(24)
+    found = set()
+    for _ in range(600):
+        n = rng.randint(0, 40)
+        rows = _alternating(rng, n)
+        if rng.random() < 0.2 and n:
+            # a random row and column: asymmetric, or a diagonal bit
+            i, j = rng.randrange(n), rng.randrange(n)
+            rows[i] ^= 1 << j
+        want = _assert_as_oracle(rows)
+        found.add(want if isinstance(want, type) else list)
+    assert found == {list, ValueError, NotAlternating, OddDimension, Degenerate}
+
+
+def test_symplectic_basis_is_the_oracle_on_canonical_forms_to_genus_12():
+    for genus in range(13):
+        rows = intersection_form(orientable_scheme(genus)).rows
+        assert len(_assert_as_oracle(rows)) == genus

@@ -1,16 +1,19 @@
 """Property tests of enhancements and the Brown exponent on generated
-nondegenerate forms, and of the one-pass surface scans."""
+nondegenerate forms, of the one-pass surface scans, and of AB = 4 Arf on
+spin surfaces."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from arfbrown.quadform import Enhancement, arf_brown, evaluate, gauss_sum
+from arfbrown.quadform import Enhancement, arf, arf_brown, evaluate, gauss_sum
 from arfbrown.surface import (
     GluingScheme,
     IntersectionForm,
     analyze,
     classify,
+    intersection_form,
     normalize,
+    orientable_scheme,
     surface_form,
 )
 from gauss_oracle import block_sum, enumerated_gauss_sum, root_of_gauss_sum
@@ -95,21 +98,28 @@ def gluing_words(draw, max_letters: int):
 
 
 @st.composite
-def one_vertex_words(draw, max_letters: int):
+def one_vertex_words(draw, max_letters: int, orientable: bool = False):
     """A one-vertex word, grown from a torus or a projective plane by
     inserting a new letter's two occurrences wherever that keeps one vertex
-    (by the oracle's count)."""
-    word = list(draw(st.sampled_from((GluingScheme.from_text("a b a' b'"),
-                                      GluingScheme.from_text("a a")))).word)
+    (by the oracle's count).  An orientable word grows from the torus by
+    two letters at a time, each with opposite signs, since one letter more
+    changes the parity of the Euler characteristic."""
+    starts = [GluingScheme.from_text("a b a' b'")]
+    if not orientable:
+        starts.append(GluingScheme.from_text("a a"))
+    word = list(draw(st.sampled_from(starts)).word)
     n = draw(st.integers(1, max_letters))
     spot, sign = st.integers(0, 4 * max_letters), st.sampled_from((1, -1))
     for _ in range(4 * n):
         if len(word) >= 2 * n:
             break
-        s1, s2, e1, e2 = draw(st.tuples(spot, spot, sign, sign))
-        p, q = sorted((s1 % (len(word) + 1), s2 % (len(word) + 1)))
-        letter = f"y{len(word)}"
-        grown = word[:p] + [(letter, e1)] + word[p:q] + [(letter, e2)] + word[q:]
+        grown = word
+        for _ in range(1 + orientable):
+            s1, s2, e1, e2 = draw(st.tuples(spot, spot, sign, sign))
+            e2 = -e1 if orientable else e2
+            p, q = sorted((s1 % (len(grown) + 1), s2 % (len(grown) + 1)))
+            letter = f"y{len(grown)}"
+            grown = grown[:p] + [(letter, e1)] + grown[p:q] + [(letter, e2)] + grown[q:]
         if vertex_count(GluingScheme(grown)) == 1:
             word = grown
     return GluingScheme(word)
@@ -125,3 +135,18 @@ def test_one_pass_surface_scans_match_oracle(s):
 @given(st.one_of(gluing_words(60), one_vertex_words(60)))
 def test_classify_is_analyze_normalize_and_surface_form(s):
     assert classify(s) == (analyze(s), normalize(s), surface_form(s))
+
+
+@_SETTINGS
+@given(
+    st.one_of(st.integers(0, 32).map(orientable_scheme),
+              one_vertex_words(40, orientable=True)),
+    st.data(),
+)
+def test_spin_exponent_is_four_times_arf(s, data):
+    # AB = 4 Arf on a spin surface (Kirby-Taylor): arf goes through
+    # f2.symplectic_basis, apart from the Brown split
+    form = intersection_form(s)
+    halves = data.draw(st.integers(0, (1 << form.dim) - 1))
+    q = Enhancement(form, {x: 2 * (halves >> i & 1) for i, x in enumerate(form.basis_labels)})
+    assert arf_brown(q) == 4 * arf(q)
