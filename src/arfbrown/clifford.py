@@ -133,15 +133,18 @@ def _reduced(a: int, b: int, d: int) -> GaussianRational:
 
 
 class Signature:
-    """Cl(p, q): p generators of square +1, then q of square -1."""
+    """Cl(p, q): p generators of square +1, then q of square -1, read-only."""
 
-    __slots__ = ("positive", "negative")
+    __slots__ = ("_counts",)
 
     def __init__(self, positive: int, negative: int = 0):
         positive, negative = operator.index(positive), operator.index(negative)
         if positive < 0 or negative < 0:
             raise ValueError(f"Cl({positive}, {negative}) has a negative count")
-        self.positive, self.negative = positive, negative
+        self._counts = (positive, negative)
+
+    positive = property(lambda self: self._counts[0])
+    negative = property(lambda self: self._counts[1])
 
     @classmethod
     def cl(cls, positive: int, negative: int = 0) -> Signature:
@@ -152,12 +155,10 @@ class Signature:
         return self.positive + self.negative
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, Signature) and (
-            (self.positive, self.negative) == (other.positive, other.negative)
-        )
+        return isinstance(other, Signature) and self._counts == other._counts
 
     def __hash__(self) -> int:
-        return hash((self.positive, self.negative))
+        return hash(self._counts)
 
     def __repr__(self) -> str:
         return f"Signature({self.positive}, {self.negative})"

@@ -6,6 +6,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from ..cli import Emitter, parse_files
+from ..errors import CertificateError
 from . import check_cap
 from .enhanced import attach_enhancements, render_root
 
@@ -27,6 +28,8 @@ def cmd_arf_brown(
         exponent = arf_brown(q)
         total = gauss_sum_of_root(exponent, q.dim)
         arf_value = arf(q) if q.is_even_valued() else None
+        if arf_value is not None and exponent != 4 * arf_value:
+            raise CertificateError(f"{surf.name}: exponent {exponent} but Arf {arf_value}")
         record = {
             "record": "arf-brown",
             "surface": surf.name,

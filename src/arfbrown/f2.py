@@ -1,4 +1,4 @@
-"""Exact linear algebra over the two-element field: ranks and symplectic bases.
+"""Exact linear algebra over the two-element field: symplectic bases.
 
 Vectors are int masks, bit i the i-th coordinate, and matrices are sequences
 of row masks; all semantics are componentwise XOR and dot products mod 2,
@@ -11,7 +11,6 @@ from __future__ import annotations
 from typing import Sequence
 
 __all__ = [
-    "rank",
     "symplectic_basis",
     "NotAlternating",
     "Degenerate",
@@ -31,19 +30,6 @@ class OddDimension(ValueError):
     """A symplectic basis needs an even-dimensional space."""
 
 
-def rank(rows: Sequence[int]) -> int:
-    """GF(2) rank of the row masks, computed by Gaussian elimination."""
-    pivots: dict[int, int] = {}  # lowest set bit -> reduced row
-    for mask in rows:
-        while mask:
-            low = mask & -mask
-            if low not in pivots:
-                pivots[low] = mask
-                break
-            mask ^= pivots[low]  # clears bit low, touches only higher bits
-    return len(pivots)
-
-
 def symplectic_basis(rows: Sequence[int]) -> list[tuple[int, int]]:
     """Pairs (e_i, f_i) with B(e_i, f_j) = delta_ij and all other pairings 0.
 
@@ -56,9 +42,9 @@ def symplectic_basis(rows: Sequence[int]) -> list[tuple[int, int]]:
     a parity; a vector left without a partner is in the radical (Degenerate).
     """
     n = len(rows)
-    if any(r < 0 or r >> n for r in rows) or any(
-        (r >> j ^ rows[j] >> i) & 1 for i, r in enumerate(rows) for j in range(i)
-    ):
+    # text[i][j] is bit j of rows[i]; a row out of range is left out, so text is short
+    text = [format(r, f"0{n}b")[::-1] for r in rows if not (r < 0 or r >> n)]
+    if len(text) < n or any(t != "".join(c) for t, c in zip(text, zip(*text))):
         raise ValueError("gram matrix must be square and symmetric")
     for i, r in enumerate(rows):
         if r >> i & 1:

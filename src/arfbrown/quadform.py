@@ -22,7 +22,7 @@ even-valued Z/4 enhancements, value 2q.
 from __future__ import annotations
 
 import operator
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .errors import CertificateError, DimensionMismatch, NotSpin, ParityViolation
 from .f2 import symplectic_basis
@@ -43,17 +43,20 @@ class NotRootOfUnity(CertificateError):
     """A Gauss sum failed to match zeta8^k * sqrt(2)^dim for every k."""
 
 
-class Enhancement:
+class Enhancement(
+    NamedTuple("Enhancement", [("form", IntersectionForm), ("values", tuple)])
+):
     """A Z/4 quadratic enhancement, stored by its values on the basis.
 
-    values maps each basis label of the form to an element of Z/4 whose
-    parity matches the form's diagonal; evaluation extends to all of H_1 by
-    the quadratic law and is independent of the expansion order.
+    It is built from a mapping of each basis label to an element of Z/4 with
+    the parity of the form's diagonal entry; `values` holds them mod 4 in
+    basis order, and a copy or a pickle rebuilds the mapping.  Only the
+    constructor validates, not `_make` or `_replace`.
     """
 
-    __slots__ = ("_form", "_values")
+    __slots__ = ()
 
-    def __init__(self, form: IntersectionForm, values: Mapping[str, int]):
+    def __new__(cls, form: IntersectionForm, values: Mapping[str, int]):
         if set(values) != set(form.basis_labels):
             missing = set(form.basis_labels) - set(values)
             extra = set(values) - set(form.basis_labels)
@@ -61,7 +64,7 @@ class Enhancement:
                 f"values must cover the basis exactly; missing {sorted(missing)},"
                 f" unexpected {sorted(extra)}"
             )
-        normalized: dict[str, int] = {}
+        normalized = []
         for i, label in enumerate(form.basis_labels):
             v = operator.index(values[label]) % 4
             self_pairing = form.rows[i] >> i & 1
@@ -71,37 +74,21 @@ class Enhancement:
                     f" is {self_pairing} so q({label}) must be"
                     f" {self_pairing} mod 2"
                 )
-            normalized[label] = v
-        self._form = form
-        self._values = normalized
+            normalized.append(v)
+        return super().__new__(cls, form, tuple(normalized))
 
-    @property
-    def form(self) -> IntersectionForm:
-        return self._form
+    def __getnewargs__(self) -> tuple[IntersectionForm, dict[str, int]]:
+        return self.form, dict(zip(self.form.basis_labels, self.values))
 
     @property
     def dim(self) -> int:
-        return self._form.dim
+        return self.form.dim
 
     def basis_value(self, label: str) -> int:
-        return self._values[label]
+        return self.values[self.form.basis_labels.index(label)]
 
     def is_even_valued(self) -> bool:
-        return all(v % 2 == 0 for v in self._values.values())
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, Enhancement)
-            and self._form == other._form
-            and self._values == other._values
-        )
-
-    def __hash__(self) -> int:
-        return hash((self._form, tuple(sorted(self._values.items()))))
-
-    def __repr__(self) -> str:
-        vals = " ".join(f"{k}={v}" for k, v in self._values.items())
-        return f"Enhancement({vals})"
+        return all(v % 2 == 0 for v in self.values)
 
 
 def evaluate(q: Enhancement, x: int) -> int:
@@ -121,7 +108,7 @@ def evaluate(q: Enhancement, x: int) -> int:
     while rest:
         low = rest & -rest
         i = low.bit_length() - 1
-        total += q.basis_value(form.basis_labels[i])
+        total += q.values[i]
         total += 2 * (form.rows[i] & x & (low - 1)).bit_count()
         rest ^= low
     return total % 4
@@ -158,10 +145,7 @@ def arf_brown(q: Enhancement) -> int:
     form raises NotRootOfUnity.
     """
     form = q.form
-    classes = [
-        (1 << i, form.rows[i], q.basis_value(label))
-        for i, label in enumerate(form.basis_labels)
-    ]
+    classes = [(1 << i, r, v) for i, (r, v) in enumerate(zip(form.rows, q.values))]
     k = 0
     while classes:
         odd = next(

@@ -1,15 +1,15 @@
 """Evaluator for invertible theories on closed 0-, 1-, and 2-manifolds.
 
-A theory is an integer power of the Arf-Brown generator (mod 8, by Morita
-periodicity of Clifford algebras) together with a nonzero Euler weight.
-Each value is plain: a point gets the Clifford algebra Cl(ab_power, 0) as
-its `Signature`, a circle gets the parity of its super line, "even" or
-"odd", from its class "bounding" or "nonbounding" (`pin1.classify_circle`),
-and closed surfaces get the Arf-Brown root of unity raised to the theory's
-power times euler_weight^chi, a `PartitionValue`.  A pin- surface
-is given by its quadratic enhancement (Kirby-Taylor): the form's dimension
-is b1 = 2 - chi.  `consistency_report` returns its checks as a tuple of
-`CheckResult`s.
+A theory, the named tuple `TheoryClass(ab_power, euler_weight)`, is a power
+of the Arf-Brown generator (mod 8, by Morita periodicity of Clifford
+algebras) and a nonzero Euler weight.  Each value is plain: a point gets
+the Clifford algebra Cl(ab_power, 0) as its `Signature`, a circle gets the
+parity of its super line, "even" or "odd", from its class "bounding" or
+"nonbounding" (`pin1.classify_circle`), and closed surfaces get the
+Arf-Brown root of unity raised to the theory's power times
+euler_weight^chi, a `PartitionValue`.  A pin- surface is given by its
+quadratic enhancement (Kirby-Taylor): the form's dimension is b1 = 2 - chi.
+`consistency_report` returns its checks as a tuple of `CheckResult`s.
 """
 
 from __future__ import annotations
@@ -37,42 +37,19 @@ __all__ = [
 ]
 
 
-class TheoryClass:
-    """A theory of the family: Arf-Brown power mod 8 and a nonzero Euler weight."""
+class TheoryClass(
+    NamedTuple("TheoryClass", [("ab_power", int), ("euler_weight", GaussianRational)])
+):
+    """A theory of the family: Arf-Brown power mod 8 and a nonzero Euler
+    weight, checked by the constructor, not by `_make` or `_replace`."""
 
-    __slots__ = ("_ab_power", "_euler_weight")
+    __slots__ = ()
 
-    def __init__(
-        self,
-        ab_power: int,
-        euler_weight: GaussianRational | Fraction | int = 1,
-    ):
+    def __new__(cls, ab_power: int, euler_weight: GaussianRational | Fraction | int = 1):
         weight = GaussianRational.coerce(euler_weight)
         if weight.is_zero():
             raise ValueError("the Euler weight must be nonzero")
-        self._ab_power = operator.index(ab_power) % 8
-        self._euler_weight = weight
-
-    @property
-    def ab_power(self) -> int:
-        return self._ab_power
-
-    @property
-    def euler_weight(self) -> GaussianRational:
-        return self._euler_weight
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, TheoryClass)
-            and self._ab_power == other._ab_power
-            and self._euler_weight == other._euler_weight
-        )
-
-    def __hash__(self) -> int:
-        return hash((self._ab_power, self._euler_weight))
-
-    def __repr__(self) -> str:
-        return f"TheoryClass(ab_power={self._ab_power}, euler_weight={self._euler_weight!r})"
+        return super().__new__(cls, operator.index(ab_power) % 8, weight)
 
 
 class PartitionValue(NamedTuple):

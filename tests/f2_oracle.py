@@ -1,14 +1,29 @@
 """The symplectic Gram-Schmidt as first written: the oracle for the
-elimination in ``arfbrown.f2.symplectic_basis``.
+elimination in ``arfbrown.f2.symplectic_basis``, with the GF(2) ``rank``
+that the tests use.
 
-A rank pass rejects a degenerate form before the loop, and each pairing
-sums the Gram rows over the support of a vector, so it costs the weight of
-that vector in row additions.  The package carries each vector's row image
-instead; both pick the same partner at every step, so they return the same
-pairs.
+A rank pass rejects a degenerate form before the loop, the symmetry check
+tests each pair of entries bit by bit, and each pairing sums the Gram rows
+over the support of a vector, so it costs the weight of that vector in row
+additions.  The package compares each row with its column as text and
+carries each vector's row image instead; both pick the same partner at
+every step, so they return the same pairs.
 """
 
-from arfbrown.f2 import Degenerate, NotAlternating, OddDimension, rank
+from arfbrown.f2 import Degenerate, NotAlternating, OddDimension
+
+
+def rank(rows):
+    """GF(2) rank of the row masks, computed by Gaussian elimination."""
+    pivots = {}  # lowest set bit -> reduced row
+    for mask in rows:
+        while mask:
+            low = mask & -mask
+            if low not in pivots:
+                pivots[low] = mask
+                break
+            mask ^= pivots[low]  # clears bit low, touches only higher bits
+    return len(pivots)
 
 
 def oracle_symplectic_basis(rows):

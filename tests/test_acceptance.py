@@ -10,7 +10,6 @@ from fractions import Fraction
 from itertools import product
 
 from arfbrown.clifford import Signature, irreducible_supermodule
-from arfbrown.f2 import rank
 from arfbrown.majorana import (
     epsilon_operator,
     ground_states,
@@ -35,6 +34,7 @@ from arfbrown.surface import (
 )
 from arfbrown.tqft import consistency_report
 from clifford_checks import assert_clifford_relations, int_matrix
+from f2_oracle import rank
 from gauss_oracle import block_sum, enumerate_enhancements
 from surface_oracle import random_scheme
 

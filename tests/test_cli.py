@@ -163,6 +163,17 @@ def test_arf_brown_failed_certificate_is_exit_5(tmp_path, capsys, monkeypatch, f
     assert err == "error: the Gauss sum missed every zeta8^k\n"
 
 
+@pytest.mark.parametrize("fmt", ["human", "structured"])
+def test_arf_brown_exponent_must_be_four_times_arf(tmp_path, capsys, monkeypatch, fmt):
+    # the torus with q = 0 has exponent 0; an Arf invariant of 1 contradicts it
+    monkeypatch.setattr(quadform, "arf", lambda q: 1)
+    path = _write(tmp_path, "t.surf", "surface T: a b a' b'\nenhance T: a=0 b=0\n")
+    assert main(["arf-brown", "--format", fmt, path]) == 5
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: T: exponent 0 but Arf 1\n"
+
+
 def test_arf_brown_cap_dim(tmp_path, capsys):
     word = " ".join(f"x{i} x{i}" for i in range(21))
     path = _write(

@@ -76,6 +76,14 @@ def test_cl_signature_layout():
             Signature.cl(*counts)
 
 
+def test_signature_counts_are_read_only():
+    sig = Signature(2, 1)
+    for name in ("positive", "negative"):
+        with pytest.raises(AttributeError):
+            setattr(sig, name, 5)
+    assert sig == Signature(2, 1) and len(sig) == 3
+
+
 # ---------------------------------------------------------------- matrices
 
 

@@ -12,11 +12,10 @@ from arfbrown.f2 import (
     Degenerate,
     NotAlternating,
     OddDimension,
-    rank,
     symplectic_basis,
 )
 from arfbrown.surface import intersection_form, orientable_scheme
-from f2_oracle import oracle_symplectic_basis, outcome
+from f2_oracle import oracle_symplectic_basis, outcome, rank
 
 
 def _shifted(mask: int, n: int) -> tuple[int, ...]:

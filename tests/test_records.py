@@ -1,13 +1,16 @@
-"""The eleven record types (results, reports and parsed statements):
-construction, immutability, value equality, and the repr of four of them."""
+"""The eleven record types (results, reports and parsed statements) and the
+three validated value types: construction, immutability, value equality,
+copies and pickles, and the repr of four of the records."""
 
+import copy
+import pickle
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from arfbrown.cli import ComponentStmt, EnhanceStmt, PointStmt, SurfaceStmt
-from arfbrown.clifford import GaussianRational
+from arfbrown.clifford import GaussianRational, Signature
 from arfbrown.majorana import (
     GroundStateReport,
     IntervalReport,
@@ -17,10 +20,12 @@ from arfbrown.majorana import (
     reference_module,
 )
 from arfbrown.pin1 import ChainSetup
+from arfbrown.quadform import Enhancement
 from arfbrown.surface import GluingScheme, IntersectionForm, SurfaceInfo, analyze
 from arfbrown.tqft import (
     CheckResult,
     PartitionValue,
+    TheoryClass,
     consistency_report,
 )
 
@@ -82,6 +87,20 @@ VALUES = {
 
 RECORDS = pytest.mark.parametrize("cls", list(VALUES), ids=lambda c: c.__name__)
 
+TORUS = IntersectionForm(("a", "b"), (0b10, 0b01))
+
+# the named tuples whose constructor checks and normalises its arguments,
+# each with a function that builds a fresh value
+VALIDATED = {
+    ChainSetup: lambda: ChainSetup([1, 0], True, -1),
+    TheoryClass: lambda: TheoryClass(11, Fraction(1, 2)),
+    Enhancement: lambda: Enhancement(TORUS, {"a": 2, "b": 0}),
+}
+
+
+def _build(cls):
+    return VALIDATED[cls]() if cls in VALIDATED else cls(**VALUES[cls]())
+
 
 @RECORDS
 def test_keyword_and_positional_construction_agree(cls):
@@ -93,23 +112,60 @@ def test_keyword_and_positional_construction_agree(cls):
         assert getattr(by_position, name) is value
 
 
-@RECORDS
+@pytest.mark.parametrize("cls", [*VALUES, *VALIDATED], ids=lambda c: c.__name__)
 def test_fields_cannot_be_assigned(cls):
-    fields = VALUES[cls]()
-    record = cls(**fields)
-    for name in fields:
+    record = _build(cls)
+    for name in record._fields:
         with pytest.raises(AttributeError):
             setattr(record, name, None)
 
 
 @pytest.mark.parametrize(
-    "cls", [c for c in VALUES if c is not ReferenceModule], ids=lambda c: c.__name__
+    "cls",
+    [c for c in [*VALUES, *VALIDATED] if c is not ReferenceModule],
+    ids=lambda c: c.__name__,
 )
 def test_equal_values_are_equal_records(cls):
-    a, b = cls(**VALUES[cls]()), cls(**VALUES[cls]())
+    a, b = _build(cls), _build(cls)
     assert a == b and not a != b
     assert hash(a) == hash(b)
     assert len({a, b}) == 1
+
+
+@pytest.mark.parametrize("cls", list(VALIDATED), ids=lambda c: c.__name__)
+def test_validated_types_take_equality_hash_repr_and_fields_from_the_tuple(cls):
+    assert issubclass(cls, tuple)
+    assert not {"__eq__", "__hash__", "__repr__", *cls._fields} & set(vars(cls))
+    value = _build(cls)
+    fields = ", ".join(f"{name}={field!r}" for name, field in value._asdict().items())
+    assert repr(value) == f"{cls.__name__}({fields})"
+
+
+def test_validated_types_normalise_their_arguments():
+    assert ChainSetup([1, 0], 1, -1) == ChainSetup((1, 0), True, -1)
+    assert ChainSetup([1, 0], 1, -1).bits == (1, 0)
+    assert TheoryClass(11) == TheoryClass(3)
+    assert TheoryClass(3) == (3, GaussianRational(1))
+    assert Enhancement(TORUS, {"b": -4, "a": 6}).values == (2, 0)
+
+
+# each library value type, the three validated named tuples and the three
+# classes, must survive copy, deepcopy and pickle as an equal value
+COPIED = [
+    ChainSetup.interval([1, 0, 1], -1),
+    TheoryClass(5, GaussianRational(Fraction(1, 2), 3)),
+    Enhancement(TORUS, {"a": 2, "b": 0}),
+    Signature(2, 1),
+    GluingScheme.from_text("a b a' b'"),
+    GaussianRational(Fraction(1, 2), -3),
+]
+
+
+@pytest.mark.parametrize("value", COPIED, ids=lambda v: type(v).__name__)
+def test_copies_and_pickles_are_equal_values(value):
+    for twin in copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value)):
+        assert type(twin) is type(value)
+        assert twin == value and hash(twin) == hash(value)
 
 
 def test_reference_module_compares_by_identity():
