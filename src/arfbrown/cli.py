@@ -15,8 +15,8 @@ number encodings only: integers, [numerator, denominator] pairs for
 rationals, {re, im} pairs for Gaussian rationals, and 4-tuples of integers
 for elements of Z[zeta8].  Exit codes: 0 success, 1 failing selftest,
 2 parse error, 3 precondition violation, 4 cap exceeded, 5 failed runtime
-certificate, 74 output that cannot be written (a full disk, say), 141
-stdout closed by its reader.
+certificate (the reported error's `exit_code`), 74 output that cannot be
+written (a full disk, say), 141 stdout closed by its reader.
 
 This module holds what every command shares: the statement grammar
 (`parse_file`), the record writer (`Emitter`), the argument parser and
@@ -38,23 +38,16 @@ from importlib import import_module
 from types import ModuleType
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
-from .errors import (
-    CapExceeded,
-    CertificateError,
-    DimensionMismatch,
-    HasBoundary,
-    NotSpin,
-    ParityViolation,
-)
-
 if TYPE_CHECKING:  # each command imports the modules it runs
     from .surface import GluingScheme
 
-__all__ = ["main", "ParseError", "PreconditionError", "MAX_LITERAL_EXPONENT"]
+__all__ = ["main", "ParseError"]
 
 
 class ParseError(Exception):
     """Bad input text, reported with file, line, and column."""
+
+    exit_code = 2
 
     def __init__(self, message: str, path: str, line: int, col: int = 1):
         super().__init__(f"{path}:{line}:{col}: {message}")
@@ -63,16 +56,9 @@ class ParseError(Exception):
         self.col = col
 
 
-class PreconditionError(ValueError):
-    """Structurally valid input that a command cannot evaluate."""
-
-
 # a surface payload, its tokens joined by single spaces (or one token)
 _WORD = re.compile(r"(?:[A-Za-z][A-Za-z0-9]*'?(?: |\Z))*")
 _NAME_TOKEN = re.compile(r"[A-Za-z0-9_.-]+$")
-# Fraction("1e600") builds 10**600 first, so a decimal exponent of a theory
-# literal is checked against this bound before any Fraction is built
-MAX_LITERAL_EXPONENT = 4300
 
 
 # the parsed statements, plain namedtuples since every start builds their
@@ -382,29 +368,16 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"error: cannot write output: {exc.strerror or exc}", file=sys.stderr)
         _drop_stdout()
         return 74  # EX_IOERR
-    except ParseError as exc:
+    except Exception as exc:  # a reported error carries its exit status
+        code = getattr(exc, "exit_code", None)
+        if code is None:
+            raise
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except CapExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except (
-        ParityViolation,
-        NotSpin,
-        HasBoundary,
-        DimensionMismatch,
-        PreconditionError,
-    ) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except CertificateError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 5
+        return code
 
 
 if __name__ == "__main__":
-    # run as a script, this file is __main__ while the commands import
-    # arfbrown.cli: the errors they raise are that module's classes
+    # the commands emit arfbrown.cli's JSONText, which Emitter matches by type
     from arfbrown.cli import main
 
     sys.exit(main())

@@ -8,7 +8,6 @@ from typing import TYPE_CHECKING, Sequence
 from ..cli import (
     EnhanceStmt,
     ParseError,
-    PreconditionError,
     SurfaceStmt,
     TokenError,
     parse_enhance_payload,
@@ -19,7 +18,13 @@ if TYPE_CHECKING:
     from ..quadform import Enhancement
     from ..surface import IntersectionForm
 
-__all__ = ["attach_enhancements", "render_root"]
+__all__ = ["PreconditionError", "attach_enhancements", "render_root"]
+
+
+class PreconditionError(ValueError):
+    """Structurally valid input that a command cannot evaluate."""
+
+    exit_code = 3
 
 
 def attach_enhancements(

@@ -7,7 +7,6 @@ import re
 from typing import TYPE_CHECKING, Sequence
 
 from ..cli import (
-    MAX_LITERAL_EXPONENT,
     ComponentStmt,
     Emitter,
     PointStmt,
@@ -24,6 +23,9 @@ if TYPE_CHECKING:
 
 __all__ = ["cmd_tqft", "parse_theory"]
 
+# Fraction("1e600") builds 10**600 first, so a decimal exponent of a theory
+# literal is checked against this bound before any Fraction is built
+MAX_LITERAL_EXPONENT = 4300
 # a decimal exponent, in any decimal digits (\d, as Fraction reads them)
 _EXPONENT = re.compile(r"[eE]([-+]?[\d_]+)")
 

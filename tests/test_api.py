@@ -162,9 +162,9 @@ def test_importing_the_package_loads_no_submodule():
     assert _python("import sys, arfbrown\n" + _LOADED).split() == ["arfbrown"]
 
 
-def test_command_line_starts_with_only_its_errors():
+def test_command_line_starts_with_only_cli():
     snippet = "import sys\nimport arfbrown.cli as cli\ncli.build_parser()\n" + _LOADED
-    assert _python(snippet).split() == ["arfbrown", "arfbrown.cli", "arfbrown.errors"]
+    assert _python(snippet).split() == ["arfbrown", "arfbrown.cli"]
 
 
 def test_each_command_body_lives_in_its_own_module():

@@ -15,11 +15,12 @@ from pathlib import Path
 import pytest
 
 import arfbrown
-from arfbrown import quadform, surface
-from arfbrown.cli import MAX_LITERAL_EXPONENT, Emitter, build_parser, main
+from arfbrown import clifford, errors, f2, quadform, surface
+from arfbrown.cli import Emitter, ParseError, TokenError, build_parser, main
 from arfbrown.clifford import GaussianRational
+from arfbrown.commands.enhanced import PreconditionError
 from arfbrown.commands.selftest import cmd_selftest
-from arfbrown.commands.tqft import parse_theory
+from arfbrown.commands.tqft import MAX_LITERAL_EXPONENT, parse_theory
 from arfbrown.majorana import ground_states
 from arfbrown.pin1 import ChainSetup
 
@@ -690,6 +691,49 @@ def test_redefined_surface_name_is_exit_2_at_the_second_definition(tmp_path, cap
     assert [r["word"] for r in _records(capsys)] == ["a b a' b'", "a a"]
 
 
+# -------------------------------------------------------------- exit codes
+
+
+def test_each_reported_error_carries_its_documented_exit_code():
+    for cls, code in [
+        (ParseError, 2),
+        (errors.ParityViolation, 3),
+        (errors.NotSpin, 3),
+        (errors.DimensionMismatch, 3),
+        (errors.HasBoundary, 3),
+        (PreconditionError, 3),
+        (errors.CapExceeded, 4),
+        (errors.CertificateError, 5),
+        (quadform.NotRootOfUnity, 5),
+        # errors no command reports escape main
+        (surface.MalformedWord, None),
+        (surface.MultipleVertices, None),
+        (f2.NotAlternating, None),
+        (f2.Degenerate, None),
+        (f2.OddDimension, None),
+        (clifford.UnpairedSignature, None),
+        (TokenError, None),
+    ]:
+        if code is None:
+            assert not hasattr(cls, "exit_code"), cls
+        else:
+            assert cls.exit_code == code, cls
+
+
+def test_an_error_without_an_exit_code_escapes_main(tmp_path, capsys, monkeypatch):
+    failure = RuntimeError("no exit status")
+
+    def fail(scheme):
+        raise failure
+
+    monkeypatch.setattr(surface, "classify", fail)
+    path = _write(tmp_path, "t.surf", "surface T: a b a' b'\n")
+    with pytest.raises(RuntimeError) as caught:
+        main(["surface", path])
+    assert caught.value is failure
+    assert capsys.readouterr() == ("", "")
+
+
 # --------------------------------------------------------- as a process
 
 
@@ -704,14 +748,33 @@ def _cli_process(*argv: str, **kwargs) -> subprocess.Popen:
 
 
 def test_script_exits_with_the_codes_of_main(tmp_path):
-    # run with -m, cli.py is __main__; the errors the commands raise are the
-    # arfbrown.cli classes, and they still map to their exit codes
+    # run with -m, cli.py is __main__ while the commands raise the errors of
+    # arfbrown.cli and arfbrown.commands; each carries its own exit code
     bad = _write(tmp_path, "bad.surf", "surface K: a a b\n")
     big = _write(tmp_path, "big.surf", "circle c: " + "0 " * 11 + "\n")
-    for argv, code in [(["surface", bad], 2), (["majorana", big], 4)]:
-        out, err = _cli_process(*argv).communicate(timeout=60)
+    bare = _write(tmp_path, "bare.surf", "surface T: a b a' b'\n")
+    for argv, code in [
+        (["surface", bad], 2),
+        (["majorana", big], 4),
+        (["arf-brown", bare], 3),
+    ]:
+        proc = _cli_process(*argv)
+        out, err = proc.communicate(timeout=60)
         assert out == b"" and err.startswith(b"error: "), err
         assert b"Traceback" not in err
+        assert proc.returncode == code, (argv, err)
+
+
+def test_script_writes_the_records_of_main(tmp_path, capsys):
+    # run with -m, the Emitter is __main__'s while surface's gram field is an
+    # arfbrown.cli JSONText; it must still be written as a nested array
+    path = _write(tmp_path, "k.surf", "surface K: a a b b\nsurface T: a b a' b'\n")
+    assert main(["surface", "--format", "structured", path]) == 0
+    expected = capsys.readouterr().out.encode()
+    assert b'"gram":[[' in expected
+    proc = _cli_process("surface", "--format", "structured", path)
+    out, err = proc.communicate(timeout=60)
+    assert (out, err, proc.returncode) == (expected, b"", 0)
 
 
 def test_closed_stdout_exits_141_without_a_traceback(tmp_path):

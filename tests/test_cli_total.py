@@ -9,7 +9,8 @@ import io
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from arfbrown.cli import MAX_LITERAL_EXPONENT, main
+from arfbrown.cli import main
+from arfbrown.commands.tqft import MAX_LITERAL_EXPONENT
 from arfbrown.surface import GluingScheme, MalformedWord, surface_form
 
 _SETTINGS = settings(max_examples=300, deadline=None, database=None)
