@@ -23,12 +23,18 @@ This module holds what every command shares: the statement grammar
 `main`.  Each command's body lives in its own module of
 `arfbrown.commands`, which `main` imports only when that command runs, so
 a start compiles the grammar and the parser and no command body.
+
+A request costs as little front end as it can: `main` parses a command's
+arguments with that command's own parser, in one pass; `parse_file` reads
+a file in one call and splits it into lines as text mode does (universal
+newlines); every structured record goes through one JSON encoder.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import io
 import json
 import os
 import re
@@ -154,10 +160,13 @@ def _parse_bits_payload(words: list[str]) -> tuple[tuple[int, ...], int]:
 def parse_file(path: str) -> list:
     """All statements in a file, in order."""
     try:
-        with open(path, encoding="utf-8") as handle:
-            lines = handle.readlines()
+        with open(path, "rb") as handle:
+            data = handle.read()
     except OSError as exc:
         raise ParseError(f"cannot read file: {exc.strerror}", path, 0) from exc
+    # text mode's universal newlines: \n, \r\n and a lone \r end a line, and
+    # nothing else does (str.splitlines would also split on \f, \x85, ...)
+    lines = io.StringIO(data.decode("utf-8"), newline=None).readlines()
     statements = []
     for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0]
@@ -205,6 +214,10 @@ class JSONText(str):
     """A record field that is JSON text already, written as it is."""
 
 
+# json.dumps would build this encoder again for every record
+_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
 class Emitter:
     """Writes records as JSON lines or indented human text; `human` builds
     a record's text lines and is called in human mode only."""
@@ -219,14 +232,10 @@ class Emitter:
         limit = _int_digit_limit(0)
         try:
             if self.fmt == "structured":
-                # one dumps with NaN in each JSONText field's place: no float
+                # one encode with NaN in each JSONText field's place: no float
                 # reaches a record, so '"key":NaN' marks exactly that place
                 texts = {k: v for k, v in record.items() if type(v) is JSONText}
-                line = json.dumps(
-                    {**record, **dict.fromkeys(texts, float("nan"))},
-                    sort_keys=True,
-                    separators=(",", ":"),
-                )
+                line = _encode({**record, **dict.fromkeys(texts, float("nan"))})
                 for key, text in texts.items():
                     line = line.replace(f'"{key}":NaN', f'"{key}":{text}', 1)
                 print(line, file=self.stream)
@@ -284,7 +293,9 @@ def build_parser() -> argparse.ArgumentParser:
         prog="arfbrown",
         description="Exact invariants of surfaces, 1-manifolds, and chains.",
     )
+    # dest names the command in the "required: command" error
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices  # each command's own parser, for main
     p = sub.add_parser(
         "surface", parents=[common], help="classify gluing words"
     )
@@ -354,7 +365,16 @@ def _drop_stdout() -> None:
 
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    # a leading command name is parsed by that command's parser alone, in
+    # one pass; anything else, and leftover arguments, go through the
+    # top-level parser, which reports them as it always has
+    own = parser.commands.get(argv[0]) if argv else None
+    if own is not None:
+        args, rest = own.parse_known_args(argv[1:])
+    if own is None or rest:
+        args = parser.parse_args(argv)
     emitter = Emitter(args.format)
     try:
         code = args.run(args, emitter)

@@ -36,6 +36,22 @@ def _records(capsys):
     return [json.loads(line) for line in out.strip().splitlines()]
 
 
+# one statement file that every command that reads files runs clean on
+_EVERY_KIND = "surface T: a b a' b'\nenhance T: a=0 b=0\ncircle c: 0 1\n"
+# each command's argv before the file; selftest reads none
+_COMMANDS = {
+    "surface": ["surface"],
+    "arf-brown": ["arf-brown"],
+    "majorana": ["majorana"],
+    "tqft": ["tqft", "ab=1"],
+    "selftest": ["selftest"],
+}
+
+
+def _command_argv(command, path):
+    return _COMMANDS[command] + ([] if command == "selftest" else [path])
+
+
 def _no_floats(value):
     if isinstance(value, float):
         return False
@@ -625,6 +641,67 @@ def test_second_main_call_builds_no_parser(tmp_path, capsys, monkeypatch):
     assert len(built) == 7
 
 
+@pytest.mark.parametrize("command", _COMMANDS)
+def test_a_command_is_parsed_once_by_its_own_parser(
+    tmp_path, capsys, monkeypatch, command
+):
+    path = _write(tmp_path, "all.surf", _EVERY_KIND)
+    parsed = []
+    parse = argparse.ArgumentParser.parse_known_args
+
+    def spy(self, *args, **kwargs):
+        parsed.append(self.prog)
+        return parse(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", spy)
+    assert main(_command_argv(command, path)) == 0
+    assert parsed == [f"arfbrown {command}"]
+
+
+def _two_pass_main(argv):
+    """What main did with two parses: the top-level parser, whose
+    subparsers action parses the command's arguments a second time."""
+    args = build_parser().parse_args(argv)
+    return args.run(args, Emitter(args.format))
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        "",
+        "-h",
+        "--help",
+        "--he",
+        "bogus",
+        "--format structured surface F",
+        "-- surface F",
+        "surface",
+        "surface -h",
+        "surface F --bogus",
+        "surface F x --y=1",
+        "surface --form structured F",
+        "surface --format=structured F",
+        "surface -- F",
+        "majorana F --cap-n 2",
+        "arf-brown --cap 3 F",
+        "tqft ab=1 F -q",
+        "selftest x",
+        "selftest --format structured",
+    ],
+)
+def test_main_parses_as_the_two_pass_parser_does(tmp_path, capsys, line):
+    path = _write(tmp_path, "all.surf", _EVERY_KIND)
+    argv = [path if word == "F" else word for word in line.split()]
+    outcomes = []
+    for run in (main, _two_pass_main):
+        try:
+            code = run(argv)
+        except SystemExit as exc:
+            code = exc.code
+        outcomes.append((code, *capsys.readouterr()))
+    assert outcomes[0] == outcomes[1]
+
+
 @pytest.mark.parametrize(
     "command, flag",
     [
@@ -818,9 +895,11 @@ def test_failed_write_to_a_stream_without_a_descriptor_exits_74(
     )
 
 
-def test_a_process_without_stdout_still_exits_0(tmp_path, monkeypatch):
+@pytest.mark.parametrize("command", _COMMANDS)
+@pytest.mark.parametrize("fmt", ["human", "structured"])
+def test_a_process_without_stdout_still_exits_0(tmp_path, monkeypatch, fmt, command):
     # sys.stdout is None when a process starts with file descriptor 1 closed;
     # print drops what it is given, and main flushes nothing
-    path = _write(tmp_path, "t.surf", "surface T: a b a' b'\n")
+    path = _write(tmp_path, "all.surf", _EVERY_KIND)
     monkeypatch.setattr(sys, "stdout", None)
-    assert main(["surface", path]) == 0
+    assert main(_command_argv(command, path) + ["--format", fmt]) == 0

@@ -3,6 +3,7 @@ every parse error, checked against a regex scan of the line."""
 
 import re
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -174,3 +175,27 @@ def test_a_bad_token_is_reported_at_its_regex_column(tmp_path_factory, case, dat
         assert str(exc) == f"{path}:2:{col}: {message}"
     else:
         raise AssertionError(f"{line!r} parsed")
+
+
+def test_lines_end_where_text_mode_ends_them(tmp_path):
+    # \r\n and a lone \r end a line; \f, \x1c and \x85 are whitespace inside
+    # one; a BOM is kept as a character; the last line has no newline
+    statements = (
+        "# mixed newlines\r\n"
+        "surface A: a a\r\n"
+        "surface B:\x0ca b a' b'\r"
+        "circle c:\x850 1\n"
+        "point p # \ufeff\r\n"
+        "\r"
+        "interval i: 1\x1c0\r\n"
+    )
+    path = tmp_path / "mixed.txt"
+    path.write_bytes(statements.encode("utf-8"))
+    parsed = parse_file(str(path))
+    assert [(s.name, s.line) for s in parsed] == [
+        ("A", 2), ("B", 3), ("c", 4), ("p", 5), ("i", 7)
+    ]
+    path.write_bytes((statements + "circle d: 0\x851 \ufeff").encode("utf-8"))
+    with pytest.raises(ParseError) as err:
+        parse_file(str(path))
+    assert str(err.value).startswith(f"{path}:8:15: ")
