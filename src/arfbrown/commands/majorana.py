@@ -6,7 +6,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from ..cli import ComponentStmt, Emitter, parse_files
-from . import check_cap, enc_fraction
+from . import check_cap
 
 __all__ = ["cmd_majorana"]
 
@@ -34,11 +34,11 @@ def cmd_majorana(paths: Sequence[str], cap_n: int, emitter: Emitter) -> int:
             "bits": list(stmt.bits),
             "orientation": "+" if stmt.orientation == 1 else "-",
             "circle_class": circle_class,
-            "min_eigenvalue": enc_fraction(report.min_eigenvalue),
+            "min_eigenvalue": _enc_half(-report.edge_count),
             "ground_dimension": report.ground_dimension,
             "ground_parity": report.ground_parity,
             "spectrum": [
-                [enc_fraction(value), mult] for value, mult in report.spectrum
+                [_enc_half(lam), mult] for lam, mult in report.doubled_spectrum()
             ],
             "expected_dimension": want_dim,
             "expected_parity": want_parity,
@@ -53,7 +53,13 @@ def cmd_majorana(paths: Sequence[str], cap_n: int, emitter: Emitter) -> int:
             f" parity {report.ground_parity},"
             f" min eigenvalue {report.min_eigenvalue}",
             "  spectrum: "
-            + ", ".join(f"{value} x{mult}" for value, mult in report.spectrum),
+            + ", ".join(f"{value} x{mult}" for value, mult in report.spectrum()),
             f"  expected dimension {want_dim}, parity {want_parity}: {verdict}",
         ])
     return 0
+
+
+def _enc_half(lam: int) -> list[int]:
+    """lam / 2 as the structured encoding of a rational, [numerator,
+    denominator] in lowest terms."""
+    return [lam, 2] if lam & 1 else [lam >> 1, 1]

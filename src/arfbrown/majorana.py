@@ -14,8 +14,10 @@ that every T_e squares to 1 and that no generator occurs in two of them,
 so they commute, and every nonempty product of them is a non-scalar, hence
 traceless, monomial: 2H has eigenvalues -E + 2j with multiplicity
 C(E, j) 2^{n-E}, and the ground space is the image of P = prod (1 - T_e).
-The ground parity and the boundary action are word evaluations, with no
-2^n vector and no size cap; the command line bounds the vertex count.
+So `ground_states` reports n, E and the ground parity, and its report
+writes the spectrum out only on request.  The ground parity and the
+boundary action are word evaluations, with no 2^n vector and no size cap;
+the command line bounds the vertex count.
 Every operator here is one signed word (`_edge_terms`, `_epsilon_word`),
 and the dense matrices are those words rendered by `_dense`, the one
 module that needs numpy.
@@ -25,7 +27,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import prod
-from typing import TYPE_CHECKING, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterator, NamedTuple, Sequence
 
 from .clifford import evaluate_on_empty
 from .errors import CertificateError, HasBoundary
@@ -93,20 +95,45 @@ def doubled_hamiltonian(setup: ChainSetup) -> np.ndarray:
 
 
 class GroundStateReport(NamedTuple):
-    min_eigenvalue: Fraction
-    ground_dimension: int
+    """A chain's vertex and edge count, which fix its spectrum, and its
+    certified ground parity: three fields at any size.  `doubled_spectrum`
+    yields the eigenvalues of 2H with their multiplicities as integers, and
+    `spectrum` those of H as Fractions."""
+
+    vertex_count: int
+    edge_count: int
     ground_parity: str
-    spectrum: tuple[tuple[Fraction, int], ...]
+
+    @property
+    def min_eigenvalue(self) -> Fraction:
+        return Fraction(-self.edge_count, 2)
+
+    @property
+    def ground_dimension(self) -> int:
+        return 1 << (self.vertex_count - self.edge_count)
+
+    def doubled_spectrum(self) -> Iterator[tuple[int, int]]:
+        """(2 lambda, multiplicity) for each eigenvalue lambda of H, from
+        the lowest, C(E, j) 2^{n-E} at 2 lambda = -E + 2j."""
+        edges, mult = self.edge_count, self.ground_dimension
+        for j in range(edges + 1):
+            yield 2 * j - edges, mult
+            mult = mult * (edges - j) // (j + 1)
+
+    def spectrum(self) -> tuple[tuple[Fraction, int], ...]:
+        """(lambda, multiplicity) for each eigenvalue lambda of H, from the
+        lowest."""
+        return tuple((Fraction(lam, 2), mult) for lam, mult in self.doubled_spectrum())
 
 
 def ground_states(setup: ChainSetup) -> GroundStateReport:
-    """Full spectrum of H with exact multiplicities, plus ground data."""
+    """The certified spectral report of H: vertex and edge count, from
+    which the spectrum follows, and the ground parity."""
     return _ground_report(setup)[0]
 
 
 def _ground_report(setup: ChainSetup) -> tuple[GroundStateReport, list]:
     """`ground_states`, and the certified edge terms it was computed from."""
-    n = setup.vertex_count
     words = _edge_words(setup)
     edge_count = len(words)
     if setup.is_circle:
@@ -121,16 +148,7 @@ def _ground_report(setup: ChainSetup) -> tuple[GroundStateReport, list]:
         # c at the vertex that heads no edge is odd and commutes with every
         # T_e, so it swaps the even and the odd ground line
         parity = "mixed"
-    spectrum, mult = [], 1 << (n - edge_count)
-    for j in range(edge_count + 1):
-        spectrum.append((Fraction(2 * j - edge_count, 2), mult))
-        mult = mult * (edge_count - j) // (j + 1)
-    return GroundStateReport(
-        min_eigenvalue=Fraction(-edge_count, 2),
-        ground_dimension=spectrum[0][1],
-        ground_parity=parity,
-        spectrum=tuple(spectrum),
-    ), words
+    return GroundStateReport(setup.vertex_count, edge_count, parity), words
 
 
 def epsilon_operator(setup: ChainSetup) -> np.ndarray:

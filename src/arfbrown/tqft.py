@@ -82,12 +82,16 @@ def evaluate_circle(t: TheoryClass, c: str) -> str:
     return "odd" if t.ab_power % 2 else "even"
 
 
+# the generator of the family, whose circle lines the chain's ground lines are
+_GENERATOR = TheoryClass(1)
+
+
 def expected_ground(c: str | None) -> tuple[int, str]:
     """(dimension, parity) of a Majorana chain's ground space: 1 and the generator
     theory's line on a circle of class c, 2 and "mixed" on an interval (None)."""
     if c is None:
         return 2, "mixed"
-    return 1, evaluate_circle(TheoryClass(1), c)
+    return 1, evaluate_circle(_GENERATOR, c)
 
 
 def partition_function(
@@ -155,8 +159,9 @@ def _check_torus_value() -> CheckResult:
 def _check_spin_exponents(samples: int = 50) -> CheckResult:
     """Even-valued enhancements must land in {0, 4} and match 4*Arf."""
     rng = random.Random(20260815)
+    forms = {genus: surface_form(orientable_scheme(genus)) for genus in (1, 2, 3)}
     for k in range(samples):
-        form = surface_form(orientable_scheme(rng.randint(1, 3)))
+        form = forms[rng.randint(1, 3)]
         values = {label: rng.choice((0, 2)) for label in form.basis_labels}
         q = Enhancement(form, values)
         exponent = arf_brown(q)

@@ -3,8 +3,9 @@
 This was the runtime path before the chain results came from edge words.
 It keeps the 2^n-entry ground vectors, the image of e_0 and e_1 under
 prod (1 - T_e) on the signed permutations of `arfbrown._dense`, certifies
-them exactly, and restricts operators to them entry by entry.  The tests
-compare `ground_states` and `interval_bimodule_check` with it.
+them exactly, and restricts operators to them entry by entry, and it
+writes the spectrum out in full with `math.comb`.  The tests compare
+`ground_states` and `interval_bimodule_check` with it.
 """
 
 from fractions import Fraction
@@ -88,19 +89,25 @@ def ground_data(setup):
         support = {m.bit_count() & 1 for m in np.flatnonzero(vec).tolist()}
         assert support == {probe}, "ground vector is not grading-homogeneous"
         vectors[probe] = vec
-    ground_dim = 1 << (n - edge_count)
-    assert len(vectors) == ground_dim
+    assert len(vectors) == 1 << (n - edge_count)
 
     report = GroundStateReport(
-        min_eigenvalue=Fraction(-edge_count, 2),
-        ground_dimension=ground_dim,
+        vertex_count=n,
+        edge_count=edge_count,
         ground_parity=_PARITY[tuple(vectors)],
-        spectrum=tuple(
-            (Fraction(2 * j - edge_count, 2), comb(edge_count, j) * ground_dim)
-            for j in range(edge_count + 1)
-        ),
     )
     return report, vectors
+
+
+def spectrum(setup):
+    """The spectrum of H as (eigenvalue, multiplicity) pairs, from the lowest:
+    the commuting edge terms square to 1 and every nonempty product of them
+    is traceless, so 2H = -E + 2j with multiplicity C(E, j) 2^(n-E)."""
+    n, edge_count = setup.vertex_count, len(setup.edges)
+    return tuple(
+        (Fraction(2 * j - edge_count, 2), comb(edge_count, j) << (n - edge_count))
+        for j in range(edge_count + 1)
+    )
 
 
 def boundary_operators(setup):

@@ -239,7 +239,7 @@ def test_criterion_12_orientation_reversal_invariance():
                 forward = ground_states(make(bits, 1))
                 backward = ground_states(make(bits, -1))
                 if (
-                    forward.spectrum != backward.spectrum
+                    forward.spectrum() != backward.spectrum()
                     or forward.ground_parity != backward.ground_parity
                 ):
                     mismatches.append((kind, bits))

@@ -34,3 +34,29 @@ def test_the_harness_compares_a_tree_with_itself(tmp_path):
             assert len(row[side]["values"]) == 1
         assert row["pairs"] == 1 and row["wins"] in (0, 1)
         assert row["verdict"] in ("gain", "cost", "unresolved")
+
+
+def test_the_inprocess_mode_compares_a_script_run_on_a_tree_with_itself(tmp_path):
+    out = tmp_path / "bench.json"
+    proc = subprocess.run(
+        [sys.executable, "tools/bench_ab.py", "--base", ".", "--head", ".",
+         "--inprocess", "tools/chain_scale.py", "--pairs", "1", "--out", str(out)],
+        cwd=ROOT, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(out.read_text())
+    assert report["machine"] and report["inprocess"] == "tools/chain_scale.py"
+    assert "seed" not in report and "seconds" not in report
+    assert [(r["pair"], r["side"]) for r in report["runs"]] == [(0, "parent"), (0, "change")]
+    metrics = report["workloads"]["tools/chain_scale.py"]
+    assert set(metrics) == {
+        "ground_states_1e4_s", "peak_rss_1e4_mb", "ground_states_1e5_s", "peak_rss_1e5_mb"
+    }
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    bounds = {m["unit"]: m["bound"] for m in spec["end_to_end"]}
+    for row in metrics.values():
+        assert row["better"] == "lower" and row["bound"] == bounds[row["unit"]]
+        assert len(row["parent"]["values"]) == len(row["change"]["values"]) == 1
+        assert row["pairs"] == 1 and row["verdict"] in ("gain", "cost", "unresolved")
+    # the script checks each ground line, and the new report stays small
+    assert metrics["peak_rss_1e5_mb"]["change"]["median"] < 100

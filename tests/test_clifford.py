@@ -2,6 +2,7 @@
 supermodule, and the word evaluation on (C^{1|1})^{(x) n}."""
 
 import random
+from itertools import product
 from fractions import Fraction
 from functools import cache
 
@@ -11,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from arfbrown.clifford import (
+    SMALL_GENERATORS,
     GaussianRational,
     Signature,
     SuperMatrix,
@@ -186,6 +188,47 @@ def test_word_evaluation_matches_the_dense_generators(case):
         column = _dense_generators(n)[g] @ column
     sign, mask = evaluate_on_empty(word)
     assert column.tolist() == [sign * (m == mask) for m in range(1 << n)]
+
+
+def _shifted(word, m):
+    return [g + 2 * m for g in word]
+
+
+# a shift by this many factors moves every generator past SMALL_GENERATORS,
+# and one by three fewer keeps the words over three factors below it
+_PAST = (SMALL_GENERATORS + 1) // 2
+
+
+@pytest.mark.parametrize("m", [1, _PAST - 3, _PAST, _PAST + 1000])
+def test_shifting_by_whole_factors_shifts_the_mask(m):
+    # renumbering generator g as g + 2m is the inclusion of the first three
+    # factors as factors m, m+1, m+2: it keeps the sign and shifts the mask,
+    # whichever path each side takes
+    for length in range(7):
+        for word in product(range(6), repeat=length):
+            sign, mask = evaluate_on_empty(word)
+            assert evaluate_on_empty(_shifted(word, m)) == (sign, mask << m), word
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(
+    st.lists(st.integers(0, 23), max_size=40),
+    st.integers(-12, 12),
+)
+def test_words_on_either_side_of_the_bound_agree(word, offset):
+    # the shifted word's largest generator lands within 12 of the bound,
+    # above or below it
+    m = max(0, (SMALL_GENERATORS + offset - max(word, default=0)) // 2)
+    sign, mask = evaluate_on_empty(word)
+    assert evaluate_on_empty(_shifted(word, m)) == (sign, mask << m)
+
+
+def test_a_lone_large_generator_moves_one_factor():
+    v = 10**6
+    assert evaluate_on_empty([2 * v]) == (1, 1 << v)
+    assert evaluate_on_empty([2 * v, 2 * v + 1]) == (1, 0)
+    assert evaluate_on_empty([2 * v + 1, 2 * v]) == (-1, 0)
+    assert evaluate_on_empty([2 * v + 1, 2 * v + 1]) == (-1, 0)
 
 
 def test_supermodule_rejects_unpaired():

@@ -1,5 +1,6 @@
 """Majorana chain operators, exact spectra, and module structure."""
 
+import pickle
 import random
 import time
 from fractions import Fraction
@@ -95,7 +96,7 @@ def test_closed_form_matches_certified_scan():
         setups.append(getattr(ChainSetup, kind)(bits, rng.choice([1, -1])))
     for setup in setups:
         rep = ground_states(setup)
-        assert (rep.spectrum, rep.ground_parity) == _scanned_spectrum(setup), setup
+        assert (rep.spectrum(), rep.ground_parity) == _scanned_spectrum(setup), setup
 
 
 def test_doubled_hamiltonian_is_the_dense_edge_sum():
@@ -137,6 +138,7 @@ def _restrict(setup, word):
 def _assert_matches_dense_oracle(setup):
     report, _ = chain_oracle.ground_data(setup)
     assert ground_states(setup) == report, setup
+    assert ground_states(setup).spectrum() == chain_oracle.spectrum(setup), setup
     if setup.is_circle:
         return
     interval, c_r, d_r = chain_oracle.bimodule_report(setup)
@@ -158,6 +160,30 @@ def test_symbolic_path_matches_dense_oracle():
         _assert_matches_dense_oracle(setup)
 
 
+def test_spectrum_matches_the_oracle_up_to_twelve_vertices():
+    rng = random.Random(109)
+    for n in range(1, 13):
+        for kind, edges in (("circle", n), ("interval", n - 1)):
+            if not edges:
+                continue
+            bits = [rng.randint(0, 1) for _ in range(edges)]
+            setup = getattr(ChainSetup, kind)(bits, rng.choice([1, -1]))
+            report = ground_states(setup)
+            assert report.spectrum() == chain_oracle.spectrum(setup), setup
+            assert list(report.doubled_spectrum()) == [
+                (int(2 * eig), mult) for eig, mult in report.spectrum()
+            ]
+
+
+def test_a_large_report_pickles_to_its_three_fields():
+    rng = random.Random(113)
+    bits = [rng.randint(0, 1) for _ in range(2 * 10**4)]
+    report = ground_states(ChainSetup.circle(bits))
+    data = pickle.dumps(report)
+    assert len(data) < 300
+    assert pickle.loads(data) == report == (2 * 10**4, 2 * 10**4, report.ground_parity)
+
+
 @pytest.mark.parametrize("kind", ["circle", "interval"])
 def test_ten_thousand_vertices_in_under_a_second(kind):
     n = 10**4
@@ -171,7 +197,7 @@ def test_ten_thousand_vertices_in_under_a_second(kind):
         assert interval_bimodule_check(setup).passed
         report = ground_states(setup)
     assert time.perf_counter() - start < 1.0
-    assert sum(mult for _, mult in report.spectrum) == 1 << n
+    assert sum(mult for _, mult in report.spectrum()) == 1 << n
     assert report.ground_parity == (
         "mixed" if kind == "interval" else "even" if sum(bits) % 2 else "odd"
     )
@@ -293,7 +319,7 @@ def test_spectrum_multiplicities_binomial_oracle():
         n_v = setup.vertex_count
         e = len(bits)
         rep = ground_states(setup)
-        got = {eig: mult for eig, mult in rep.spectrum}
+        got = {eig: mult for eig, mult in rep.spectrum()}
         want = {}
         for k in range(e + 1):
             lam = 2 * k - e
@@ -307,10 +333,10 @@ def test_spectrum_is_symmetric_and_complete():
         n = rng.randint(1, 6)
         bits = tuple(rng.randint(0, 1) for _ in range(n))
         rep = ground_states(ChainSetup.circle(bits))
-        total = sum(m for _, m in rep.spectrum)
+        total = sum(m for _, m in rep.spectrum())
         assert total == 1 << n
-        table = dict(rep.spectrum)
-        for eig, mult in rep.spectrum:
+        table = dict(rep.spectrum())
+        for eig, mult in rep.spectrum():
             assert table[-eig] == mult
         assert rep.min_eigenvalue == min(table)
         assert rep.ground_dimension == table[rep.min_eigenvalue]
@@ -485,7 +511,7 @@ def test_reference_module_relations_and_spectrum():
         spec_a = sorted(int(x) for x in np.diag(h2a))
         rep = ground_states(setup)
         spec_h = sorted(
-            int(2 * eig) for eig, mult in rep.spectrum for _ in range(mult)
+            int(2 * eig) for eig, mult in rep.spectrum() for _ in range(mult)
         )
         assert spec_a == spec_h
 

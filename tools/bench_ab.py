@@ -24,6 +24,13 @@ the medians, the head's win count and a verdict:
   the medians differ the other way by more than that range;
 - ``unresolved``: anything else.
 
+With ``--inprocess SCRIPT`` the pairs run SCRIPT instead of the
+workloads: a fresh ``python3 SCRIPT`` per side, with the tree as the working
+directory and its ``src/`` on ``PYTHONPATH``.  SCRIPT's last stdout line is
+a JSON object ``{name: {"value": v, "unit": u}}``; every such metric is
+better lower, and takes the bound of the ``BENCHMARK.json`` end-to-end
+metric with its unit.  The file keys its rows by SCRIPT as given.
+
 A run that fails, or reports incorrect output, stops the comparison with
 exit status 1 and writes no file.
 """
@@ -90,6 +97,28 @@ def bench_run(run_py: str, tree: str, workload: str, args) -> tuple[dict, str]:
     return result, machine[len("machine: "):]
 
 
+def script_run(script: str, tree: str) -> dict:
+    """SCRIPT's metrics from one fresh process on a tree's src/."""
+    env = {**os.environ, "PYTHONPATH": os.path.join(tree, "src")}
+    proc = subprocess.run([sys.executable, script], cwd=tree, env=env,
+                          capture_output=True, text=True, timeout=RUN_TIMEOUT_S)
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode != 0 or not lines:
+        sys.stderr.write(proc.stderr)
+        raise SystemExit(f"{script} on {tree}: exited {proc.returncode}")
+    return json.loads(lines[-1])
+
+
+def machine() -> str:
+    """The CPU model, as perfbench's run.py prints it."""
+    try:
+        with open("/proc/cpuinfo") as handle:
+            return next(l.split(":", 1)[1].strip() for l in handle
+                        if l.startswith("model name"))
+    except (OSError, StopIteration):
+        return platform.processor() or platform.machine()
+
+
 def quartiles(values: list[float]) -> dict:
     if len(values) == 1:
         q1 = median = q3 = values[0]
@@ -125,6 +154,8 @@ def main() -> int:
     parser.add_argument("--base", required=True, help="git revision or directory")
     parser.add_argument("--head", required=True, help="git revision or directory")
     parser.add_argument("--workloads", nargs="+", choices=names, default=names)
+    parser.add_argument("--inprocess", metavar="SCRIPT",
+                        help="run SCRIPT on each tree instead of the workloads")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=spec["run_seconds"])
     parser.add_argument("--seed", type=int, default=0)
@@ -132,47 +163,65 @@ def main() -> int:
     parser.add_argument("--out", required=True, help="the BENCH file to write")
     args = parser.parse_args()
 
+    if args.inprocess:
+        script = os.path.abspath(args.inprocess)
+        workloads = [args.inprocess]
+    else:
+        workloads = args.workloads
     with tempfile.TemporaryDirectory(prefix="bench_ab-") as scratch:
         base, base_info = materialise(args.base, scratch, "base")
         head, head_info = materialise(args.head, scratch, "head")
         run_py = os.path.join(head, "perfbench", "run.py")
-        runs, values, machine = [], {}, ""
-        for workload in args.workloads:
+        runs, values, units, machine_line = [], {}, {}, machine()
+        for workload in workloads:
             for pair in range(args.pairs):
                 sides = [("parent", base), ("change", head)]
                 for side, tree in sides if pair % 2 == 0 else sides[::-1]:
-                    result, machine = bench_run(run_py, tree, workload, args)
-                    print(f"{workload} pair {pair} {side}:", json.dumps(result["metrics"]),
+                    if args.inprocess:
+                        metrics, run = script_run(script, tree), {}
+                    else:
+                        result, machine_line = bench_run(run_py, tree, workload, args)
+                        metrics = result["metrics"]
+                        run = {k: result[k] for k in ("correct", "attempted", "failed")}
+                    print(f"{workload} pair {pair} {side}:", json.dumps(metrics),
                           file=sys.stderr)
-                    runs.append({"workload": workload, "pair": pair, "side": side,
-                                 **{k: result[k] for k in ("correct", "attempted", "failed")},
-                                 "metrics": {k: m["value"] for k, m in result["metrics"].items()}})
-                    for name, m in result["metrics"].items():
+                    runs.append({"workload": workload, "pair": pair, "side": side, **run,
+                                 "metrics": {k: m["value"] for k, m in metrics.items()}})
+                    for name, m in metrics.items():
                         values.setdefault((workload, name, side), []).append(m["value"])
+                        units[name] = m["unit"]
 
+    if args.inprocess:
+        bounds = {m["unit"]: m["bound"] for m in spec["end_to_end"]}
+        missing = sorted(set(units.values()) - set(bounds))
+        if missing:
+            raise SystemExit(f"{args.inprocess}: no bound for the units {missing}")
+        rows = [{"name": name, "unit": unit, "better": "lower", "bound": bounds[unit]}
+                for name, unit in units.items()]
+    else:
+        rows = spec["end_to_end"]
     try:
         numpy = metadata.version("numpy")
     except metadata.PackageNotFoundError:
         numpy = None
     report = {
-        "machine": machine,
+        "machine": machine_line,
         "nproc": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count(),
         "python": platform.python_version(),
         "numpy": numpy,
         "base": base_info,
         "head": head_info,
-        "seed": args.seed,
-        "profile": args.profile,
-        "seconds": args.seconds,
+        **({"inprocess": args.inprocess} if args.inprocess else
+           {"seed": args.seed, "profile": args.profile, "seconds": args.seconds}),
         "pairs": args.pairs,
         "runs": runs,
         "workloads": {
             workload: {
                 m["name"]: compare(m, values[workload, m["name"], "parent"],
                                    values[workload, m["name"], "change"])
-                for m in spec["end_to_end"]
+                for m in rows
             }
-            for workload in args.workloads
+            for workload in workloads
         },
     }
     with open(args.out, "w") as handle:
