@@ -110,7 +110,7 @@ def script_run(script: str, tree: str) -> dict:
 
 
 def machine() -> str:
-    """The CPU model, as perfbench's run.py prints it."""
+    """The CPU model, which begins the machine line of perfbench's run.py."""
     try:
         with open("/proc/cpuinfo") as handle:
             return next(l.split(":", 1)[1].strip() for l in handle
