@@ -19,20 +19,19 @@ certificate (the reported error's `exit_code`), 74 output that cannot be
 written (a full disk, say), 141 stdout closed by its reader.
 
 This module holds what every command shares: the statement grammar
-(`parse_file`), the record writer (`Emitter`), the argument parser and
+(`parse_file`), the record writer (`Emitter`), the command table and
 `main`.  Each command's body lives in its own module of
 `arfbrown.commands`, which `main` imports only when that command runs, so
-a start compiles the grammar and the parser and no command body.
+a start compiles the grammar and the table and no command body.
 
-A request costs as little front end as it can: `main` parses a command's
-arguments with that command's own parser, in one pass; `parse_file` reads
-a file in one call and splits it into lines as text mode does (universal
-newlines); every structured record goes through one JSON encoder.
+A request costs as little front end as it can: `main` reads a plain argv
+by the command table and loads argparse only for help and usage errors;
+`parse_file` reads a file in one call and splits it into lines as text
+mode does (universal newlines); one JSON encoder writes every record.
 """
 
 from __future__ import annotations
 
-import argparse
 import functools
 import io
 import json
@@ -41,10 +40,12 @@ import re
 import sys
 from collections import namedtuple
 from importlib import import_module
-from types import ModuleType
+from types import ModuleType, SimpleNamespace
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 if TYPE_CHECKING:  # each command imports the modules it runs
+    import argparse
+
     from .surface import GluingScheme
 
 __all__ = ["main", "ParseError"]
@@ -186,9 +187,8 @@ def parse_file(path: str) -> list:
             elif directive in ("circle", "interval"):
                 name = _parse_name(words)
                 bits, orientation = _parse_bits_payload(words)
-                statements.append(
-                    ComponentStmt(name, directive, bits, orientation, path, lineno)
-                )
+                stmt = ComponentStmt(name, directive, bits, orientation, path, lineno)
+                statements.append(stmt)
             elif directive == "point":
                 if len(words) != 2:
                     raise TokenError("usage: point <name>", 0)
@@ -204,10 +204,7 @@ def parse_file(path: str) -> list:
 
 def parse_files(paths: Iterable[str]) -> list:
     """All statements in the files, in order."""
-    statements = []
-    for path in paths:
-        statements.extend(parse_file(path))
-    return statements
+    return [stmt for path in paths for stmt in parse_file(path)]
 
 
 class JSONText(str):
@@ -265,89 +262,105 @@ def _command(name: str) -> ModuleType:
 
 def _positive_int(text: str) -> int:
     try:
-        value = int(text)
-        if value > 0:
+        if (value := int(text)) > 0:
             return value
     except ValueError:
         pass
+    import argparse  # loaded already when argparse calls this type
+
     raise argparse.ArgumentTypeError("must be a positive integer")
+
+
+# The commands' grammar, written once: `build_parser` hands it to argparse,
+# which writes the help and every usage error, and `_read_argv` reads a plain
+# argv by it.  An option maps to its argparse keywords; a command to its help,
+# positionals (dest, nargs, metavar, help), options besides --format, handler.
+_OPTIONS = {
+    "--format": dict(choices=("human", "structured"), default="human",
+                     help="human text or JSON lines with exact numbers"),
+    "--cap-dim": dict(type=_positive_int, default=20, metavar="D", help="largest form"
+                      " dimension for Arf-Brown invariants (default %(default)s)"),
+    "--cap-n": dict(type=_positive_int, default=10, metavar="N", help="largest"
+                    " vertex count for chain spectra (default %(default)s)"),
+    "--enhance": dict(action="append", default=[], metavar="SPEC", help="inline"
+                      " enhancement like 'a=1 b=3' (file must hold one surface)"),
+}
+_FILES = ("paths", "+", "FILE", None)
+_COMMANDS = {
+    "surface": ("classify gluing words", [_FILES], [],
+                lambda a, e: _command("surface").cmd_surface(a.paths, e)),
+    "arf-brown": ("Gauss sums and invariants of enhanced surfaces", [_FILES],
+                  ["--cap-dim", "--enhance"], lambda a, e: _command("arf_brown")
+                  .cmd_arf_brown(a.paths, a.enhance, a.cap_dim, e)),
+    "majorana": ("chain spectra on 1-manifolds", [_FILES], ["--cap-n"],
+                 lambda a, e: _command("majorana").cmd_majorana(a.paths, a.cap_n, e)),
+    "tqft": ("evaluate a theory on closed objects",
+             [("theory", None, None, "theory spec like 'ab=1 euler=2'"),
+              ("paths", "*", "FILE", None)], ["--cap-dim"],
+             lambda a, e: _command("tqft").cmd_tqft(a.theory, a.paths, a.cap_dim, e)),
+    "selftest": ("run the cross-module checks", [], [],
+                 lambda a, e: _command("selftest").cmd_selftest(e)),
+}
 
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """Each subcommand takes --format and the options its handler `run` reads."""
+    """The argparse parser of _COMMANDS, for help and usage errors."""
+    import argparse
+
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--format",
-        choices=("human", "structured"),
-        default="human",
-        help="human text or JSON lines with exact numbers",
-    )
-    cap_dim = dict(
-        type=_positive_int,
-        default=20,
-        metavar="D",
-        help="largest form dimension for Arf-Brown invariants (default %(default)s)",
-    )
-    parser = argparse.ArgumentParser(
-        prog="arfbrown",
-        description="Exact invariants of surfaces, 1-manifolds, and chains.",
-    )
+    common.add_argument("--format", **_OPTIONS["--format"])
+    description = "Exact invariants of surfaces, 1-manifolds, and chains."
+    parser = argparse.ArgumentParser(prog="arfbrown", description=description)
     # dest names the command in the "required: command" error
     sub = parser.add_subparsers(dest="command", required=True)
-    parser.commands = sub.choices  # each command's own parser, for main
-    p = sub.add_parser(
-        "surface", parents=[common], help="classify gluing words"
-    )
-    p.add_argument("paths", nargs="+", metavar="FILE")
-    p.set_defaults(run=lambda a, e: _command("surface").cmd_surface(a.paths, e))
-    p = sub.add_parser(
-        "arf-brown",
-        parents=[common],
-        help="Gauss sums and invariants of enhanced surfaces",
-    )
-    p.add_argument("paths", nargs="+", metavar="FILE")
-    p.add_argument("--cap-dim", **cap_dim)
-    p.add_argument(
-        "--enhance",
-        action="append",
-        default=[],
-        metavar="SPEC",
-        help="inline enhancement like 'a=1 b=3' (file must hold one surface)",
-    )
-    p.set_defaults(
-        run=lambda a, e: _command("arf_brown").cmd_arf_brown(
-            a.paths, a.enhance, a.cap_dim, e
-        )
-    )
-    p = sub.add_parser(
-        "majorana", parents=[common], help="chain spectra on 1-manifolds"
-    )
-    p.add_argument("paths", nargs="+", metavar="FILE")
-    p.add_argument(
-        "--cap-n",
-        type=_positive_int,
-        default=10,
-        metavar="N",
-        help="largest vertex count for chain spectra (default %(default)s)",
-    )
-    p.set_defaults(
-        run=lambda a, e: _command("majorana").cmd_majorana(a.paths, a.cap_n, e)
-    )
-    p = sub.add_parser(
-        "tqft", parents=[common], help="evaluate a theory on closed objects"
-    )
-    p.add_argument("theory", help="theory spec like 'ab=1 euler=2'")
-    p.add_argument("paths", nargs="*", metavar="FILE")
-    p.add_argument("--cap-dim", **cap_dim)
-    p.set_defaults(
-        run=lambda a, e: _command("tqft").cmd_tqft(a.theory, a.paths, a.cap_dim, e)
-    )
-    p = sub.add_parser(
-        "selftest", parents=[common], help="run the cross-module checks"
-    )
-    p.set_defaults(run=lambda a, e: _command("selftest").cmd_selftest(e))
+    for name, (text, positionals, options, run) in _COMMANDS.items():
+        p = sub.add_parser(name, parents=[common], help=text)
+        for dest, nargs, metavar, about in positionals:
+            p.add_argument(dest, nargs=nargs, metavar=metavar, help=about)
+        for option in options:
+            p.add_argument(option, **_OPTIONS[option])
+        p.set_defaults(run=run)
     return parser
+
+
+def _read_argv(argv: Sequence[str]) -> SimpleNamespace | None:
+    """The namespace argparse gives a plain argv: a command, full option
+    names with values argparse takes, one run of positionals; else None."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    _, positionals, options, run = _COMMANDS[argv[0]]
+    dests = {o: o[2:].replace("-", "_") for o in ("--format", *options)}
+    values = {dest: _OPTIONS[o]["default"] for o, dest in dests.items()}
+    words, split = [], False  # split: an option came after a positional
+    rest = iter(argv[1:])
+    for word in rest:
+        if not word.startswith("-"):
+            if split:
+                return None
+            words.append(word)
+            continue
+        split = bool(words)
+        option, eq, value = word.partition("=")
+        if not eq:  # the value is the next word, which may not look like an option
+            value = next(rest, "-")
+        if option not in dests or not eq and value.startswith("-"):
+            return None
+        spec = _OPTIONS[option]
+        try:
+            value = spec.get("type", str)(value)
+        except Exception:  # argparse reports it
+            return None
+        if value not in spec.get("choices", [value]):
+            return None
+        if spec.get("action") == "append":  # a new list, as argparse makes
+            value = [*values[dests[option]], value]
+        values[dests[option]] = value
+    for dest, nargs, _, _ in positionals:
+        if not words and nargs != "*":
+            return None
+        values[dest], words = (words[0], words[1:]) if nargs is None else (words, [])
+    return None if words else SimpleNamespace(command=argv[0], **values, run=run)
 
 
 def _drop_stdout() -> None:
@@ -364,17 +377,11 @@ def _drop_stdout() -> None:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
     if argv is None:
         argv = sys.argv[1:]
-    # a leading command name is parsed by that command's parser alone, in
-    # one pass; anything else, and leftover arguments, go through the
-    # top-level parser, which reports them as it always has
-    own = parser.commands.get(argv[0]) if argv else None
-    if own is not None:
-        args, rest = own.parse_known_args(argv[1:])
-    if own is None or rest:
-        args = parser.parse_args(argv)
+    # a plain argv is read from the table directly; help, abbreviations and
+    # every usage error are argparse's, so anything else goes to its parser
+    args = _read_argv(argv) or build_parser().parse_args(argv)
     emitter = Emitter(args.format)
     try:
         code = args.run(args, emitter)

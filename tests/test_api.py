@@ -190,6 +190,13 @@ with tempfile.TemporaryDirectory() as tmp:
 """ + _LOADED
 
 
+def test_a_plain_command_line_loads_no_argparse():
+    # argparse writes help and usage errors only; a plain argv never needs it
+    snippet = _AFTER_COMMAND + '\nprint("argparse" in sys.modules)'
+    out = _python(snippet, "surface", "--format", "structured", "FILE").split()
+    assert "arfbrown.commands.surface" in out and out[-1] == "False"
+
+
 @pytest.mark.parametrize(
     "argv, absent, commands",
     [

@@ -13,10 +13,19 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import arfbrown
 from arfbrown import clifford, errors, f2, quadform, surface
-from arfbrown.cli import Emitter, ParseError, TokenError, build_parser, main
+from arfbrown.cli import (
+    Emitter,
+    ParseError,
+    TokenError,
+    _read_argv,
+    build_parser,
+    main,
+)
 from arfbrown.clifford import GaussianRational
 from arfbrown.commands.enhanced import PreconditionError
 from arfbrown.commands.selftest import cmd_selftest
@@ -641,28 +650,56 @@ def test_second_main_call_builds_no_parser(tmp_path, capsys, monkeypatch):
     assert len(built) == 7
 
 
-@pytest.mark.parametrize("command", _COMMANDS)
-def test_a_command_is_parsed_once_by_its_own_parser(
-    tmp_path, capsys, monkeypatch, command
-):
-    path = _write(tmp_path, "all.surf", _EVERY_KIND)
-    parsed = []
+def _spy_on_argparse(monkeypatch):
+    """The prog of each ArgumentParser built and of each parse run, with
+    build_parser's cached parser dropped."""
+    built, parsed = [], []
+    init = argparse.ArgumentParser.__init__
     parse = argparse.ArgumentParser.parse_known_args
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
 
     def spy(self, *args, **kwargs):
         parsed.append(self.prog)
         return parse(self, *args, **kwargs)
 
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
     monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", spy)
-    assert main(_command_argv(command, path)) == 0
-    assert parsed == [f"arfbrown {command}"]
+    build_parser.cache_clear()
+    return built, parsed
+
+
+@pytest.mark.parametrize("command", _COMMANDS)
+def test_a_plain_argv_reaches_no_argparse_parser(tmp_path, capsys, monkeypatch, command):
+    path = _write(tmp_path, "all.surf", _EVERY_KIND)
+    built, parsed = _spy_on_argparse(monkeypatch)
+    assert main(_command_argv(command, path) + ["--format", "structured"]) == 0
+    assert _records(capsys)
+    assert built == parsed == []
+
+
+def test_an_abbreviated_option_still_reaches_argparse(tmp_path, capsys, monkeypatch):
+    path = _write(tmp_path, "all.surf", _EVERY_KIND)
+    built, parsed = _spy_on_argparse(monkeypatch)
+    assert main(["surface", "--form", "structured", path]) == 0
+    assert [rec["name"] for rec in _records(capsys)] == ["T"]
+    assert len(built) == 7
+    assert parsed[0] == "arfbrown"
 
 
 def _two_pass_main(argv):
     """What main did with two parses: the top-level parser, whose
-    subparsers action parses the command's arguments a second time."""
+    subparsers action parses the command's arguments a second time; an
+    error that carries an exit status is reported as main reports it."""
     args = build_parser().parse_args(argv)
-    return args.run(args, Emitter(args.format))
+    try:
+        return args.run(args, Emitter(args.format))
+    except Exception as exc:
+        code = exc.exit_code
+        print(f"error: {exc}", file=sys.stderr)
+        return code
 
 
 @pytest.mark.parametrize(
@@ -687,6 +724,17 @@ def _two_pass_main(argv):
         "tqft ab=1 F -q",
         "selftest x",
         "selftest --format structured",
+        "surface --format= F",
+        "arf-brown --enhance= F",
+        "majorana --cap-n -2 F",
+        "majorana --cap-n=-2 F",
+        "surface - F",
+        "tqft ab=1 --format structured F",
+        "surface --format human --format structured F",
+        "arf-brown --enhance a=1 --enhance a=3 F",
+        "arf-brown --enhance -h F",
+        "arf-brown --enhance -1 F",
+        "arf-brown --enhance -- F",
     ],
 )
 def test_main_parses_as_the_two_pass_parser_does(tmp_path, capsys, line):
@@ -700,6 +748,58 @@ def test_main_parses_as_the_two_pass_parser_does(tmp_path, capsys, line):
             code = exc.code
         outcomes.append((code, *capsys.readouterr()))
     assert outcomes[0] == outcomes[1]
+
+
+# words of an argv: options spelled in full, abbreviated or with =value,
+# values argparse takes or refuses, help and the markers a reader must leave
+# to argparse, the statement file F and a theory; an option is often drawn
+# together with a value word
+_OPTION_WORDS = ["--format", "--cap-n", "--cap-dim", "--enhance"]
+_VALUE_WORDS = ["structured", "human", "json", "3", "1", "0", "x", "a=1", "a=3 b=1"]
+_MARKERS = ["-h", "--help", "--", "-", "-1", ""]
+_ARGV_WORDS = [
+    *_OPTION_WORDS,
+    *_VALUE_WORDS,
+    *("--form", "--cap", "--cap-d", "--enh", "--bogus"),
+    *("--format=structured", "--format=", "--format=json", "--cap-n=3"),
+    *("--cap-n=0", "--cap-n=-2", "--cap-dim=4", "--cap-dim=x"),
+    *("--enhance=a=1", "--enhance=", "--enhance=-a"),
+    *_MARKERS,
+    *("F", "F", "F", "F", "ab=1", "ab=1 euler=2", "ab=9"),
+]
+
+
+def _outcome(run, argv):
+    """(exit code, stdout, stderr) of run(argv)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = run(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_the_argv_reader_agrees_with_argparse(tmp_path, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    path = _write(tmp_path, "all.surf", _EVERY_KIND)
+    heads = st.sampled_from([*_COMMANDS] * 4 + ["bogus", "-h", "--format", ""])
+    values = st.sampled_from(_VALUE_WORDS + _MARKERS + ["F"])
+    option = st.tuples(st.sampled_from(_OPTION_WORDS), values)
+    items = st.one_of(st.sampled_from(_ARGV_WORDS).map(lambda w: (w,)), option)
+    argvs = st.tuples(heads, st.lists(items, max_size=5))
+
+    @settings(max_examples=400, deadline=None, database=None)
+    @given(argvs)
+    def check(argv):
+        head, items = argv
+        argv = [path if w == "F" else w for w in (head, *(w for i in items for w in i))]
+        args = _read_argv(argv)  # never raises
+        if args is not None:
+            assert vars(args) == vars(build_parser().parse_args(argv))
+        assert _outcome(main, argv) == _outcome(_two_pass_main, argv)
+
+    check()
 
 
 @pytest.mark.parametrize(

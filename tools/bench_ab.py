@@ -31,6 +31,12 @@ a JSON object ``{name: {"value": v, "unit": u}}``; every such metric is
 better lower, and takes the bound of the ``BENCHMARK.json`` end-to-end
 metric with its unit.  The file keys its rows by SCRIPT as given.
 
+With ``--trace`` each run is ``run.py --trace 1``, and the rows are the
+``per_layer`` metrics of ``BENCHMARK.json``, each scored with the direction
+given there.  A per-layer metric has no bound of its own: it takes the bound
+of the end-to-end metric with its unit, and where there is none (counts,
+ratios, bytes) it gets no ``cost`` verdict.
+
 A run that fails, or reports incorrect output, stops the comparison with
 exit status 1 and writes no file.
 """
@@ -56,10 +62,13 @@ def git(*args: str, env: dict | None = None) -> bytes:
     return subprocess.run(["git", *args], env=env, capture_output=True, check=True).stdout
 
 
-def src_tree(tree: str, index: str) -> str:
+def src_tree(tree: str, git_dir: str) -> str:
     """The git hash of a tree's src/ directory, as `git rev-parse REV:src`
-    prints it for a commit of the same files."""
-    env = {**os.environ, "GIT_INDEX_FILE": index}
+    prints it for a commit of the same files.  It is worked out in a new
+    bare repository at `git_dir`, so the tree need not be a git work tree
+    and no repository's object store takes its blobs."""
+    git("init", "--bare", "--quiet", git_dir)
+    env = {**os.environ, "GIT_DIR": git_dir, "GIT_INDEX_FILE": os.path.join(git_dir, "index")}
     git("--work-tree", tree, "add", "-A", "--", "src", env=env)
     return git("write-tree", "--prefix=src/", env=env).decode().strip()
 
@@ -75,14 +84,15 @@ def materialise(spec: str, scratch: str, name: str) -> tuple[str, dict]:
         with tarfile.open(fileobj=io.BytesIO(git("archive", info["commit"]))) as archive:
             kwargs = {"filter": "data"} if hasattr(tarfile, "data_filter") else {}
             archive.extractall(tree, **kwargs)
-    info["src_tree"] = src_tree(tree, os.path.join(scratch, f"{name}.index"))
+    info["src_tree"] = src_tree(tree, os.path.join(scratch, f"{name}.git"))
     return tree, info
 
 
 def bench_run(run_py: str, tree: str, workload: str, args) -> tuple[dict, str]:
     """The result object of one run.py run on a tree, and its machine line."""
     cmd = [sys.executable, run_py, "--workload", workload, "--seed", str(args.seed),
-           "--seconds", str(args.seconds), "--profile", args.profile, "--trace", "0"]
+           "--seconds", str(args.seconds), "--profile", args.profile,
+           "--trace", str(int(args.trace))]
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True,
                           timeout=RUN_TIMEOUT_S)
     lines = proc.stdout.strip().splitlines()
@@ -137,7 +147,8 @@ def compare(metric: dict, parent: list[float], change: list[float]) -> dict:
     ratio = head["median"] / base["median"] if base["median"] else None
     if 10 * wins >= 9 * len(parent) and gap > spread:
         verdict = "gain"
-    elif ratio is not None and sign * (ratio - 1) > metric["bound"] and -gap > spread:
+    elif (ratio is not None and metric["bound"] is not None
+          and sign * (ratio - 1) > metric["bound"] and -gap > spread):
         verdict = "cost"
     else:
         verdict = "unresolved"
@@ -156,12 +167,16 @@ def main() -> int:
     parser.add_argument("--workloads", nargs="+", choices=names, default=names)
     parser.add_argument("--inprocess", metavar="SCRIPT",
                         help="run SCRIPT on each tree instead of the workloads")
+    parser.add_argument("--trace", action="store_true",
+                        help="traced runs (run.py --trace 1), scored per layer")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=spec["run_seconds"])
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--profile", default="full")
     parser.add_argument("--out", required=True, help="the BENCH file to write")
     args = parser.parse_args()
+    if args.trace and args.inprocess:
+        parser.error("--trace runs the workloads, --inprocess a script")
 
     if args.inprocess:
         script = os.path.abspath(args.inprocess)
@@ -191,13 +206,15 @@ def main() -> int:
                         values.setdefault((workload, name, side), []).append(m["value"])
                         units[name] = m["unit"]
 
+    bounds = {m["unit"]: m["bound"] for m in spec["end_to_end"]}
     if args.inprocess:
-        bounds = {m["unit"]: m["bound"] for m in spec["end_to_end"]}
         missing = sorted(set(units.values()) - set(bounds))
         if missing:
             raise SystemExit(f"{args.inprocess}: no bound for the units {missing}")
         rows = [{"name": name, "unit": unit, "better": "lower", "bound": bounds[unit]}
                 for name, unit in units.items()]
+    elif args.trace:
+        rows = [{**m, "bound": bounds.get(m["unit"])} for m in spec["per_layer"]]
     else:
         rows = spec["end_to_end"]
     try:
@@ -212,7 +229,8 @@ def main() -> int:
         "base": base_info,
         "head": head_info,
         **({"inprocess": args.inprocess} if args.inprocess else
-           {"seed": args.seed, "profile": args.profile, "seconds": args.seconds}),
+           {"seed": args.seed, "profile": args.profile, "seconds": args.seconds,
+            "trace": args.trace}),
         "pairs": args.pairs,
         "runs": runs,
         "workloads": {
