@@ -1,14 +1,14 @@
 """Exact linear algebra over Q and over large prime fields.
 
-Integer matrices only.  The one runtime caller is `majorana`, which takes
-`rational_nullity` of the 8x4 commutant system of the interval's boundary
-module, as nested int lists; it eliminates fraction-free (Bareiss), in
-ints.  The other functions are the tests' oracles: `modular_nullity` scans
-chain spectra over GF(p) (ranks over a prime field never exceed the rank
-over Q, so modular nullities that sum to the dimension are exact), and
-`solve_in_span` restricts operators to the ground space by `fraction_rref`,
-Fraction elimination.  They stay here, not in the tests, only because the
-benchmark's tracer names them.  numpy is imported only inside
+Integer matrices only, and no runtime module calls any of it: these are
+the tests' oracles, and they stay here, not in the tests, only because the
+benchmark's tracer names them.  `rational_nullity` eliminates
+fraction-free (Bareiss), in ints; the tests check `majorana`'s closed-form
+commutant dimension against it.  `modular_nullity` scans chain spectra
+over GF(p) (ranks over a prime field never exceed the rank over Q, so
+modular nullities that sum to the dimension are exact), and
+`solve_in_span` restricts operators to the ground space by
+`fraction_rref`, Fraction elimination.  numpy is imported only inside
 `modular_nullity`.
 """
 

@@ -38,8 +38,8 @@ def symplectic_basis(rows: Sequence[int]) -> list[tuple[int, int]]:
     nondegenerate, and of even dimension.  Computed by the standard
     alternating-form Gram-Schmidt over GF(2); vectors are returned as masks
     in the coordinates of the original basis.  Each vector is held with its
-    Gram row image, as in ``quadform.arf_brown``, so a pairing is one AND and
-    a parity; a vector left without a partner is in the radical (Degenerate).
+    Gram row image, so a pairing is one AND and a parity; a vector left
+    without a partner is in the radical (Degenerate).
     """
     n = len(rows)
     # text[i][j] is bit j of rows[i]; a row out of range is left out, so text is short

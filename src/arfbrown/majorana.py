@@ -31,7 +31,6 @@ from typing import TYPE_CHECKING, Iterator, NamedTuple, Sequence
 
 from .clifford import evaluate_on_empty
 from .errors import CertificateError, HasBoundary
-from .exactla import rational_nullity
 from .pin1 import ChainSetup  # also bound here, for perfbench/worker.py
 
 if TYPE_CHECKING:
@@ -266,14 +265,13 @@ def _mul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
 
 
 def _commutant_dimension(gens: list[list[list[int]]]) -> int:
-    """dim of {M : MG = GM for all G}.  With row-major vec,
-    vec(GM - MG) = (G (x) I - I (x) G^T) vec(M); the system is rational, so
-    the dimension over any extension field equals the rational nullity."""
-    pairs = [(0, 0), (0, 1), (1, 0), (1, 1)]
-    return rational_nullity(
-        [[g[i][k] * (j == l) - (i == k) * g[l][j] for k, l in pairs]
-         for g in gens for i, j in pairs]
-    )
+    """dim of {M : MG = GM for all G} for 2x2 generators.  A non-scalar A
+    commutes only with span{I, A}, so it is 4 if every generator is scalar,
+    1 if two of them do not commute, and 2 otherwise."""
+    moving = [g for g in gens if g[0][1] or g[1][0] or g[0][0] != g[1][1]]
+    if not moving:
+        return 4
+    return 2 if all(_mul(moving[0], g) == _mul(g, moving[0]) for g in moving) else 1
 
 
 def interval_bimodule_check(setup: ChainSetup) -> IntervalReport:

@@ -10,13 +10,14 @@ zeta8^k defined by the Gauss sum
 where (zeta8 - zeta8^3)^2 = 2, so the right factor is a chosen square root
 of 2^dim.  The exponent k is additive over orthogonal sums, and the form
 splits into rank-1 and hyperbolic pieces whose exponents are read off from
-q; ``arf_brown`` finds k that way in O(dim^2) bitmask steps and returns
-it as an int in 0..7.  ``gauss_sum`` returns S in closed form as its
-coefficients (c0, c1, c2, c3) in the cyclotomic integers Z[zeta8], a tuple
-of ints; S always lies in Z[i], so c1 = c3 = 0.  No class of H_1 is
-enumerated and no floating point is used.  Z/2-valued
-enhancements (spin structures on orientable surfaces) are carried as
-even-valued Z/4 enhancements, value 2q.
+q; ``arf_brown`` finds k, an int in 0..7, by elimination on Gram rows: a
+rank-1 or hyperbolic pivot XORs its rows into the rows that pair with it,
+at the cost of their popcount.  ``gauss_sum`` returns S in closed form as
+its coefficients (c0, c1, c2, c3) in the cyclotomic integers Z[zeta8], a
+tuple of ints; S always lies in Z[i], so c1 = c3 = 0.  No class of H_1 is
+enumerated and no floating point is used.  Z/2-valued enhancements (spin
+structures on orientable surfaces) are carried as even-valued Z/4
+enhancements, value 2q.
 """
 
 from __future__ import annotations
@@ -133,57 +134,56 @@ def arf(q: Enhancement) -> int:
 def arf_brown(q: Enhancement) -> int:
     """The Arf-Brown exponent: the unique k in 0..7 with S = zeta8^k sqrt(2)^dim.
 
-    The Brown invariant adds over orthogonal sums, so pieces are split off
-    the form one at a time.  A class x with I(x, x) = 1 spans a rank-1 piece
-    worth +1 if q(x) = 1 and -1 if q(x) = 3.  Otherwise every class pairs
-    evenly with itself, and the first one, e, with a partner f such that
-    I(e, f) = 1 spans a hyperbolic piece worth 4 if q(e) = q(f) = 2 and 0 if
-    not.  The remaining classes are then moved into the piece's orthogonal
-    complement, with q carried along by the quadratic law.  A class is held
-    as (bitmask, its row image under the Gram matrix, q), so each pairing is
-    one AND and a popcount: O(dim^2) big-integer steps in all.  A degenerate
-    form raises NotRootOfUnity.
+    Pieces split off one at a time, by elimination on the live basis
+    variables: each keeps its Gram row in current coordinates and its q,
+    and one mask holds those with odd diagonal.  A rank-1 pivot v (the
+    lowest odd one) is worth +1 if q(v) = 1, -1 if q(v) = 3; each live
+    neighbour w becomes w + v: row(w) ^= row(v), q(w) += q(v) + 2.  Then
+    the lowest live e and the lowest bit f of row(e) are a hyperbolic
+    pivot, worth 4 if q(e) = q(f) = 2, else 0; each live w becomes
+    w + a e + b f (a = I(w, f), b = I(w, e)): row(e) goes into the rows
+    that pair with f, row(f) into those that pair with e, and q(w) +=
+    a q(e) + b q(f) + 2ab.  No other row changes, so a pivot costs the
+    popcount of its rows.  An empty row(e) lies in the radical: the form
+    is degenerate, and NotRootOfUnity is raised.
     """
-    form = q.form
-    classes = [(1 << i, r, v) for i, (r, v) in enumerate(zip(form.rows, q.values))]
+    rows, values = list(q.form.rows), list(q.values)
+    live = (1 << len(rows)) - 1
+    odd = sum(r & 1 << i for i, r in enumerate(rows))
     k = 0
-    while classes:
-        odd = next(
-            (i for i, (v, r, _) in enumerate(classes) if (v & r).bit_count() & 1),
-            None,
-        )
-        if odd is not None:
-            x, rx, qx = classes.pop(odd)
-            k += 1 if qx == 1 else -1
-            classes = [
-                (v ^ x, r ^ rx, (qv + qx + 2) % 4) if (r & x).bit_count() & 1
-                else (v, r, qv)
-                for v, r, qv in classes
-            ]
-            continue
-        e, re, qe = classes.pop(0)
-        partner = next(
-            (i for i, (v, _, _) in enumerate(classes) if (re & v).bit_count() & 1),
-            None,
-        )
-        if partner is None:
+    while odd:
+        v = (odd & -odd).bit_length() - 1
+        rv, qv = rows[v], values[v]
+        k += 2 - qv  # q(v) is 1 or 3
+        live ^= 1 << v
+        odd ^= rv  # v leaves, and each neighbour's diagonal flips
+        rest = rv ^ 1 << v
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            w = low.bit_length() - 1
+            rows[w] ^= rv
+            values[w] = (values[w] + qv + 2) & 3
+    while live:
+        e = (live & -live).bit_length() - 1
+        re = rows[e]
+        if not re:
             raise NotRootOfUnity(
                 "the form is degenerate, so its Gauss sum is not"
                 f" zeta8^k * sqrt(2)^{q.dim} for any k"
             )
-        f, rf, qf = classes.pop(partner)
+        f = (re & -re).bit_length() - 1
+        rf, qe, qf = rows[f], values[e], values[f]
         k += 4 if qe == qf == 2 else 0
-        rest = []
-        for v, r, qv in classes:
-            if (r & f).bit_count() & 1:
-                qv = (qv + qe + 2 * ((r & e).bit_count() & 1)) % 4
-                v, r = v ^ e, r ^ re
-            if (r & e).bit_count() & 1:
-                # v pairs evenly with f by now, so the cross term vanishes
-                qv = (qv + qf) % 4
-                v, r = v ^ f, r ^ rf
-            rest.append((v, r, qv))
-        classes = rest
+        live ^= 1 << e | 1 << f
+        rest = (re | rf) ^ (1 << e | 1 << f)
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            w = low.bit_length() - 1
+            a, b = rf & low > 0, re & low > 0
+            rows[w] ^= (re if a else 0) ^ (rf if b else 0)
+            values[w] = (values[w] + a * qe + b * qf + 2 * (a and b)) & 3
     return k % 8
 
 

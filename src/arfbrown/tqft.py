@@ -22,7 +22,7 @@ from typing import Iterable, NamedTuple
 from .clifford import GaussianRational, Signature
 from .pin1 import ChainSetup, classify_circle
 from .quadform import Enhancement, arf, arf_brown
-from .surface import orientable_scheme, surface_form
+from .surface import orientable_scheme, surface_form  # tracer times tqft.surface_form
 
 __all__ = [
     "TheoryClass",

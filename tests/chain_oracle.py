@@ -2,20 +2,62 @@
 
 This was the runtime path before the chain results came from edge words.
 It keeps the 2^n-entry ground vectors, the image of e_0 and e_1 under
-prod (1 - T_e) on the signed permutations of `arfbrown._dense`, certifies
-them exactly, and restricts operators to them entry by entry, and it
-writes the spectrum out in full with `math.comb`.  The tests compare
-`ground_states` and `interval_bimodule_check` with it.
+prod (1 - T_e) on signed permutations of the subset basis, certifies them
+exactly, and restricts operators to them entry by entry, and it writes the
+spectrum out in full with `math.comb`.  The tests compare `ground_states`,
+`interval_bimodule_check` and `arfbrown._dense` with it.  Its signed
+permutations and their Koszul signs are its own: each generator's sign on
+a basis mask is a popcount of that mask, not the package's running prefix
+parity.
 """
 
 from fractions import Fraction
 from math import comb
+from typing import NamedTuple
 
 import numpy as np
 
-from arfbrown._dense import SignedPerm, majoranas
 from arfbrown.exactla import rational_nullity
 from arfbrown.majorana import GroundStateReport, IntervalReport
+
+
+class SignedPerm(NamedTuple):
+    """A signed permutation of the subset basis of (C^{1|1})^{(x) n}: basis
+    vector m (bit v set: factor v odd) goes to sign[m] * e_{target[m]}."""
+
+    target: np.ndarray
+    sign: np.ndarray
+
+    def after(self, first: "SignedPerm") -> "SignedPerm":
+        """self composed after first (apply first, then self)."""
+        return SignedPerm(self.target[first.target], first.sign * self.sign[first.target])
+
+    def to_matrix(self) -> np.ndarray:
+        dim = len(self.target)
+        out = np.zeros((dim, dim), dtype=np.int64)
+        out[self.target, np.arange(dim)] = self.sign
+        return out
+
+
+def majoranas(n: int) -> tuple[dict[int, SignedPerm], dict[int, SignedPerm]]:
+    """Every factor's +1 and -1 generator, as c and d.
+
+    Both flip bit v of the basis mask m.  c_v carries the Koszul sign
+    (-1)^(number of odd factors below v); d_v counts factor v too, so it
+    also negates the lowering (odd -> even) transitions.  Each sign is the
+    parity of the popcount of m under a mask, folded for every m on its own.
+    """
+    masks = np.arange(1 << n, dtype=np.int64)
+
+    def signs(below: int) -> np.ndarray:
+        bits = masks & below
+        for shift in (32, 16, 8, 4, 2, 1):
+            bits = bits ^ bits >> shift
+        return 1 - 2 * (bits & 1)
+
+    c = {v: SignedPerm(masks ^ 1 << v, signs((1 << v) - 1)) for v in range(n)}
+    d = {v: SignedPerm(masks ^ 1 << v, signs((2 << v) - 1)) for v in range(n)}
+    return c, d
 
 
 def identity(dim: int) -> SignedPerm:

@@ -5,7 +5,9 @@ form's dimension and lives here, not in the package, as does
 ``enumerate_enhancements``, which lists all 2^dim enhancements of a form.
 Sums are Z[zeta8] coefficient 4-tuples; ``zeta_sqrt2_power`` builds
 zeta8^k * sqrt(2)^dim one factor at a time, the reference for the
-package's closed form.
+package's closed form.  ``reference_arf_brown`` is the class-by-class
+orthogonal split that ``quadform.arf_brown`` replaced with Gram-row
+elimination, kept as its reference.
 """
 
 from itertools import product
@@ -105,3 +107,57 @@ def block_sum(pieces: list[Enhancement]) -> Enhancement:
         offset += form.dim
     big = IntersectionForm(tuple(labels), tuple(rows))
     return Enhancement(big, values)
+
+
+def reference_arf_brown(q: Enhancement) -> int:
+    """The Arf-Brown exponent by splitting off pieces class by class.
+
+    Every remaining class is a triple (bitmask, its row image under the Gram
+    matrix, q).  A class x with I(x, x) = 1 is a rank-1 piece worth +1 if
+    q(x) = 1 and -1 if q(x) = 3; otherwise the first class e and its first
+    partner f with I(e, f) = 1 are a hyperbolic piece worth 4 if q(e) =
+    q(f) = 2 and 0 if not.  Each pivot moves every remaining class into the
+    piece's orthogonal complement, with q carried along by the quadratic
+    law.  A class left without a partner is in the radical (NotRootOfUnity).
+    """
+    form = q.form
+    classes = [(1 << i, r, v) for i, (r, v) in enumerate(zip(form.rows, q.values))]
+    k = 0
+    while classes:
+        odd = next(
+            (i for i, (v, r, _) in enumerate(classes) if (v & r).bit_count() & 1),
+            None,
+        )
+        if odd is not None:
+            x, rx, qx = classes.pop(odd)
+            k += 1 if qx == 1 else -1
+            classes = [
+                (v ^ x, r ^ rx, (qv + qx + 2) % 4) if (r & x).bit_count() & 1
+                else (v, r, qv)
+                for v, r, qv in classes
+            ]
+            continue
+        e, re, qe = classes.pop(0)
+        partner = next(
+            (i for i, (v, _, _) in enumerate(classes) if (re & v).bit_count() & 1),
+            None,
+        )
+        if partner is None:
+            raise NotRootOfUnity(
+                "the form is degenerate, so its Gauss sum is not"
+                f" zeta8^k * sqrt(2)^{q.dim} for any k"
+            )
+        f, rf, qf = classes.pop(partner)
+        k += 4 if qe == qf == 2 else 0
+        rest = []
+        for v, r, qv in classes:
+            if (r & f).bit_count() & 1:
+                qv = (qv + qe + 2 * ((r & e).bit_count() & 1)) % 4
+                v, r = v ^ e, r ^ re
+            if (r & e).bit_count() & 1:
+                # v pairs evenly with f by now, so the cross term vanishes
+                qv = (qv + qf) % 4
+                v, r = v ^ f, r ^ rf
+            rest.append((v, r, qv))
+        classes = rest
+    return k % 8

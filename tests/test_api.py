@@ -56,7 +56,7 @@ def test_package_exports_every_module_name():
 
 # exact elimination that only the tests' oracles use; exactla keeps them
 # because the benchmark tracer names them
-ORACLE_ONLY = {"solve_in_span", "fraction_rref", "modular_nullity"}
+ORACLE_ONLY = {"solve_in_span", "fraction_rref", "modular_nullity", "rational_nullity"}
 
 
 def test_no_runtime_module_imports_the_oracle_eliminations():
@@ -210,9 +210,9 @@ def test_a_plain_command_line_loads_no_argparse():
             ["majorana", "tqft", "clifford", "exactla"],
             ["arf_brown", "enhanced"],
         ),
-        (["majorana", "FILE"], ["_dense"], ["majorana"]),
+        (["majorana", "FILE"], ["_dense", "exactla"], ["majorana"]),
         (["tqft", "ab=1", "FILE"], ["majorana", "exactla"], ["enhanced", "tqft"]),
-        (["selftest"], ["_dense"], ["selftest"]),
+        (["selftest"], ["_dense", "exactla"], ["selftest"]),
     ],
     ids=["surface", "arf-brown", "majorana", "tqft", "selftest"],
 )

@@ -1,8 +1,11 @@
 """The A/B harness (tools/bench_ab.py) on one short pair of runs, and the
-cold-start script (tools/cold_start.py) that it can run."""
+cold-start and form-scale scripts (tools/cold_start.py, tools/form_scale.py)
+that it can run."""
 
+import importlib.util
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -98,9 +101,35 @@ def test_the_cold_start_script_times_each_command():
         env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
     )
     assert proc.returncode == 0, proc.stderr
-    metrics = json.loads(proc.stdout.strip().splitlines()[-1])
+    *lines, last = proc.stdout.strip().splitlines()
+    metrics = json.loads(last)
     assert list(metrics) == [
         "cold_surface_ms", "cold_arf_brown_ms", "cold_majorana_ms", "cold_tqft_ms",
         "cold_selftest_ms",
     ]
     assert all(m["unit"] == "ms" and m["value"] > 0 for m in metrics.values())
+    # each figure is the minimum over the command's timed runs
+    assert lines == [
+        f"{name} = {m['value']:.2f} ms, the minimum of 15 runs" for name, m in metrics.items()
+    ]
+
+
+def test_the_form_scale_script_checks_every_exponent_at_small_sizes():
+    spec = importlib.util.spec_from_file_location("form_scale", ROOT / "tools" / "form_scale.py")
+    form_scale = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(form_scale)
+    # measure() stops with SystemExit on a wrong exponent or Arf invariant
+    metrics = form_scale.measure((8, 64), (8, 64))
+    kinds = ["canonical_orientable", "canonical_nonorientable", "dense_orientable",
+             "dense_nonorientable"]
+    want = {f"arf_brown_{kind}_{d}_s" for kind in kinds for d in (8, 64)}
+    want |= {f"arf_{kind}_{d}_s" for kind in kinds[::2] for d in (8, 64)}
+    assert set(metrics) == want
+    assert all(m["unit"] == "s" and m["value"] > 0 for m in metrics.values())
+    # the rewritten forms are dense, and the same exponent comes back
+    rng = random.Random(1)
+    for orientable in (True, False):
+        q, k = form_scale.canonical(orientable, 64, rng)
+        dense = form_scale.rewritten(q, rng)
+        assert sum(r.bit_count() for r in dense.form.rows) > 64 * 64 // 3
+        assert form_scale.arf_brown(dense) == k

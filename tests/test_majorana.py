@@ -15,7 +15,7 @@ from arfbrown import majorana
 from arfbrown._dense import majoranas, render
 from arfbrown.cli import main
 from arfbrown.clifford import Signature, evaluate_on_empty, irreducible_supermodule
-from arfbrown.exactla import MOD_PRIMES, modular_nullity, solve_in_span
+from arfbrown.exactla import MOD_PRIMES, modular_nullity, rational_nullity, solve_in_span
 from arfbrown.majorana import (
     doubled_hamiltonian,
     epsilon_operator,
@@ -97,6 +97,16 @@ def test_closed_form_matches_certified_scan():
     for setup in setups:
         rep = ground_states(setup)
         assert (rep.spectrum(), rep.ground_parity) == _scanned_spectrum(setup), setup
+
+
+def test_dense_generators_have_the_oracle_signs():
+    # the package's running prefix parity against the oracle's popcount
+    for n in range(9):
+        for ours, theirs in zip(majoranas(n), chain_oracle.majoranas(n)):
+            assert sorted(ours) == sorted(theirs) == list(range(n))
+            for v in range(n):
+                assert np.array_equal(ours[v].target, theirs[v].target), (n, v)
+                assert np.array_equal(ours[v].sign, theirs[v].sign), (n, v)
 
 
 def test_doubled_hamiltonian_is_the_dense_edge_sum():
@@ -416,7 +426,7 @@ def test_restriction_rejects_an_operator_that_moves_the_ground_space():
     for orientation in (1, -1):
         setup = ChainSetup.interval((0, 1, 1), orientation)
         _, vectors = chain_oracle.ground_data(setup)
-        c, _ = majoranas(setup.vertex_count)
+        c, _ = chain_oracle.majoranas(setup.vertex_count)
         for v in (1, 2):
             with pytest.raises(ArithmeticError, match="ground space"):
                 _restrict(setup, [2 * v])
@@ -439,6 +449,28 @@ def test_commutant_dimension_of_small_systems():
     # these generate all 2x2 matrices, so only the scalars commute with them
     gens = [[[2, 1], [2, -1]], [[0, 0], [2, 1]], [[2, 1], [2, -2]]]
     assert majorana._commutant_dimension(gens) == 1
+
+
+def _commutant_system(gens):
+    """The 8 x 4 (for two generators) integer system whose nullity is the
+    commutant dimension: with row-major vec, vec(GM - MG) = (G (x) I -
+    I (x) G^T) vec(M)."""
+    pairs = [(0, 0), (0, 1), (1, 0), (1, 1)]
+    return [[g[i][k] * (j == l) - (i == k) * g[l][j] for k, l in pairs]
+            for g in gens for i, j in pairs]
+
+
+def test_commutant_closed_form_matches_the_nullity_of_the_linear_system():
+    matrices = [[[a, b], [c, d]] for a, b, c, d in product((-1, 0, 1, 2), repeat=4)]
+    sets = [[m] for m in matrices] + [list(p) for p in product(matrices, repeat=2)]
+    rng = random.Random(89)
+    sets += [[rng.choice(matrices) for _ in range(3)] for _ in range(5000)]
+    seen = set()
+    for gens in sets:
+        dim = majorana._commutant_dimension(gens)
+        assert dim == rational_nullity(_commutant_system(gens)), gens
+        seen.add(dim)
+    assert seen == {1, 2, 4}
 
 
 def test_bimodule_check_rejects_circles():

@@ -30,6 +30,7 @@ from gauss_oracle import (
     block_sum,
     enumerate_enhancements,
     enumerated_gauss_sum,
+    reference_arf_brown,
     root_of_gauss_sum,
     zeta_sqrt2_power,
 )
@@ -312,3 +313,99 @@ def test_degenerate_forms_are_not_roots_of_unity():
                 gauss_sum(q)
             with pytest.raises(NotRootOfUnity):
                 root_of_gauss_sum(enumerated_gauss_sum(q), q.dim)
+
+
+# ---------------------------------- elimination against the class-by-class split
+
+
+def _outcome(q):
+    """The exponent of q, or NotRootOfUnity, from the package and from the
+    reference; both must agree."""
+    results = []
+    for split in (arf_brown, reference_arf_brown):
+        try:
+            results.append(split(q))
+        except NotRootOfUnity:
+            results.append(NotRootOfUnity)
+    assert results[0] == results[1], (q.form.rows, q.values, results)
+    return results[0]
+
+
+def _symmetric_form(dim: int, upper: int) -> IntersectionForm:
+    """The symmetric GF(2) form whose entries on and above the diagonal are
+    the bits of `upper`, row by row."""
+    rows = [0] * dim
+    bit = 0
+    for i in range(dim):
+        for j in range(i, dim):
+            if upper >> bit & 1:
+                rows[i] |= 1 << j
+                rows[j] |= 1 << i
+            bit += 1
+    return IntersectionForm(tuple(f"x{i}" for i in range(dim)), tuple(rows))
+
+
+def _random_enhancement(rng, form: IntersectionForm) -> Enhancement:
+    return Enhancement(form, {
+        label: (form.rows[i] >> i & 1) + 2 * rng.randint(0, 1)
+        for i, label in enumerate(form.basis_labels)
+    })
+
+
+def test_elimination_matches_the_reference_on_every_form_to_dimension_4():
+    outcomes = []
+    for dim in range(5):
+        for upper in range(1 << dim * (dim + 1) // 2):
+            for q in enumerate_enhancements(_symmetric_form(dim, upper)):
+                outcomes.append(_outcome(q))
+    # 1 + 2*2 + 8*4 + 64*8 + 1024*16 forms and enhancements
+    assert len(outcomes) == 16933
+    assert set(outcomes) == {*range(8), NotRootOfUnity}
+
+
+def test_elimination_matches_the_reference_on_every_form_of_dimension_5():
+    rng = random.Random(37)
+    nondegenerate = 0
+    for upper in range(1 << 15):
+        form = _symmetric_form(5, upper)
+        nondegenerate += _outcome(_random_enhancement(rng, form)) is not NotRootOfUnity
+    # the number of invertible symmetric 5 x 5 matrices over GF(2)
+    # (MacWilliams, "Orthogonal matrices over finite fields", 1969)
+    assert nondegenerate == 13888
+
+
+def _random_form(rng, dim: int, density: float) -> IntersectionForm:
+    """A symmetric GF(2) form whose entries on and above the diagonal are 1
+    with the given probability."""
+    entries = dim * (dim + 1) // 2
+    return _symmetric_form(dim, sum((rng.random() < density) << b for b in range(entries)))
+
+
+@pytest.mark.parametrize("density", [0.2, 0.5, 0.8])
+def test_elimination_matches_the_reference_on_random_forms_to_dimension_64(density):
+    rng = random.Random(41)
+    outcomes = []
+    for dim in range(6, 65):
+        for _ in range(4):
+            form = _random_form(rng, dim, density)
+            outcomes.append(_outcome(_random_enhancement(rng, form)))
+    # both kinds of form occur at every density
+    assert NotRootOfUnity in outcomes
+    assert len(set(outcomes)) > 4
+
+
+def test_elimination_matches_the_closed_form_on_canonical_words():
+    rng = random.Random(43)
+    for genus in range(33):
+        form = surface_form(orientable_scheme(genus))
+        for _ in range(4):
+            q = _random_enhancement(rng, form)
+            # a hyperbolic pair is worth 4 exactly when q is 2 on both classes
+            want = 4 * sum(a == b == 2 for a, b in zip(q.values[::2], q.values[1::2]))
+            assert _outcome(q) == want % 8
+    for crosscaps in range(1, 65):
+        form = surface_form(nonorientable_scheme(crosscaps))
+        for _ in range(4):
+            q = _random_enhancement(rng, form)
+            # a crosscap is worth +1 where q is 1 and -1 where it is 3
+            assert _outcome(q) == sum(2 - v for v in q.values) % 8

@@ -11,15 +11,17 @@ file) in a fresh process, ROUNDS times, the
 commands taking turns within a round; one untimed run of each comes first,
 so that every timed run finds the same bytecode cache.  A run's time is the
 parent's wall clock from start to exit, and each run must exit 0 with
-output.  The last stdout line is a JSON object
-``{"cold_<command>_ms": {"value": median, "unit": "ms"}}``.
+output.  A command's figure is the minimum over its ROUNDS runs: other
+load on the machine only ever adds to a run's time, so the minimum moves
+less between runs of the script than the median does.  The last stdout
+line is a JSON object ``{"cold_<command>_ms": {"value": minimum, "unit":
+"ms"}}``.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import statistics
 import subprocess
 import sys
 import tempfile
@@ -57,10 +59,10 @@ def main() -> int:
             for name, argv in argvs.items():
                 times[name].append(run_once(argv))
     result = {f"cold_{name.replace('-', '_')}_ms":
-              {"value": statistics.median(values) * 1e3, "unit": "ms"}
+              {"value": min(values) * 1e3, "unit": "ms"}
               for name, values in times.items()}
     for name, metric in result.items():
-        print(f"{name} = {metric['value']:.2f} ms")
+        print(f"{name} = {metric['value']:.2f} ms, the minimum of {ROUNDS} runs")
     print(json.dumps(result))
     return 0
 
